@@ -160,17 +160,50 @@ def _empty_grid(A: DilationMatrix, box: SupportBox, J: int) -> LatticeGrid:
 
 
 def transition_matrix(A: DilationMatrix, rc: RefinementCoefficients, box: SupportBox):
-    """T[j, k] = c_{A j - k} over the integer points of the box."""
-    pts = [tuple(p) for p in np.indices(tuple(box.widths + 1)).reshape(A.d, -1).T + box.lo]
-    T = np.zeros((len(pts), len(pts)))
-    Af = A.entries
-    for a, j in enumerate(pts):
-        Aj = Af @ np.array(j, dtype=np.int64)
-        for b, k in enumerate(pts):
-            key = tuple(int(v) for v in (Aj - np.array(k, dtype=np.int64)))
-            if key in rc.c:
-                T[a, b] = rc.c[key]
-    return T, pts
+    """T[j, k] = c_{A j - k} restricted to the box points that can carry a value.
+
+    Built tap by tap: for each c_k the in-box columns A j - k of all box points
+    j are found at once, so the work is (taps x points), not points^2.  Then
+    every point whose row has no nonzero entry on the surviving set is dropped,
+    as a row and as a column, until the set stops changing.
+
+    The pruning is exact for the eigenvalue-1 problem.  Listing the pruned
+    points in the order they were removed, then the kept set K, puts T in the
+    form [[N, 0], [*, T_KK]] with N strictly block lower triangular, hence
+    nilpotent.  So spec(T) = spec(T_KK) with extra zeros, eigenvalue 1 keeps
+    its algebraic multiplicity, and the eigenvector vanishes on every pruned
+    point (Cavaretta, Dahmen and Micchelli, Stationary Subdivision, 1991).
+
+    Returns (T, pts): the dense matrix over the kept points and those points
+    as an (n, d) int64 array in lexicographic order.
+    """
+    shape = tuple(int(w) + 1 for w in box.widths)
+    box_pts = np.indices(shape).reshape(A.d, -1).T + box.lo
+    n = len(box_pts)
+    Aj_lo = box_pts @ A.entries.T - box.lo
+    rows, cols, vals = [], [], []
+    for k, ck in rc.c.items():
+        if ck == 0:
+            continue
+        pos = Aj_lo - np.asarray(k, dtype=np.int64)
+        ok = np.all((pos >= 0) & (pos < shape), axis=1)
+        rows.append(np.nonzero(ok)[0])
+        cols.append(np.ravel_multi_index(tuple(pos[ok].T), shape))
+        vals.append(np.full(len(rows[-1]), ck))
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    alive = np.ones(n, dtype=bool)
+    while True:
+        live = alive[rows] & alive[cols]
+        rows, cols, vals = rows[live], cols[live], vals[live]
+        nonzero_row = np.bincount(rows, minlength=n) > 0
+        if np.array_equal(nonzero_row, alive):
+            break
+        alive = nonzero_row
+    keep = np.nonzero(alive)[0]
+    new_index = np.cumsum(alive) - 1
+    T = np.zeros((len(keep), len(keep)))
+    T[new_index[rows], new_index[cols]] = vals
+    return T, box_pts[keep]
 
 
 def integer_values(A: DilationMatrix, rc: RefinementCoefficients,
@@ -180,7 +213,7 @@ def integer_values(A: DilationMatrix, rc: RefinementCoefficients,
     Normalized so sum_k phi(k) = 1, matching phi_hat(0) = 1.  Raises
     NonSimpleEigenvalue when eigenvalue 1 is not simple; that happens for
     masks whose solution is only a distribution, and must be reported
-    rather than silently resolved.
+    rather than silently resolved.  Box points pruned from T hold 0.
     """
     if box is None:
         box = support_box(A, rc)
@@ -203,8 +236,7 @@ def integer_values(A: DilationMatrix, rc: RefinementCoefficients,
         raise NumericalBreakdown("eigenvector cannot be normalized to partition unity")
     v = v / s
     grid = _empty_grid(A, box, 0)
-    for p, val in zip(pts, v):
-        grid.data[tuple(np.array(p) - grid.offset)] = val
+    grid.data[tuple((pts - grid.offset).T)] = v
     return grid
 
 

@@ -82,10 +82,14 @@ def _fd_weights(nodes, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Individual checks.
 
+_PARTITION_MIN_J = 3
+_NO_PARTITION_LEVEL = f"need J >= {_PARTITION_MIN_J}"
+
+
 def check_partition_of_unity(grid: LatticeGrid, n_samples: int = 50, seed: int = 0) -> float:
     """Max over sample points of |sum_k phi(x - k) - 1|."""
-    if grid.J < 3:
-        raise ValueError("need J >= 3")
+    if grid.J < _PARTITION_MIN_J:
+        raise ValueError(_NO_PARTITION_LEVEL)
     rng = np.random.default_rng(seed)
     idx = grid.index_points
     sel = idx[rng.choice(len(idx), size=min(n_samples, len(idx)), replace=False)]
@@ -198,6 +202,11 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 _NO_COARSER_LEVEL = "need J >= 1: level J - 1 is the coarser Richardson level"
+# At J = 0 the samples are integer points only.  There sum_k p(k) phi(n - k)
+# is p convolved with a finite sequence summing to 1: a polynomial with the
+# leading term of p for every p, so reproduction can only fail off Z^d.
+_NO_OFF_INTEGER_LEVEL = ("need J >= 1: on integer points alone the "
+                         "expected-failure candidate cannot fail")
 
 
 def _rectangle_sums(g1: LatticeGrid, g2: LatticeGrid, idx: np.ndarray) -> np.ndarray:
@@ -508,7 +517,8 @@ def run_all(profile: SpectralProfile, config: PropertyConfig | None = None) -> P
            lambda r: r <= cfg.tol_mass, skip)
     record("partition_of_unity",
            lambda: check_partition_of_unity(grid, cfg.n_samples, cfg.seed),
-           cfg.tol_partition, lambda r: r <= cfg.tol_partition, skip)
+           cfg.tol_partition, lambda r: r <= cfg.tol_partition,
+           skip or (None if cfg.J >= _PARTITION_MIN_J else _NO_PARTITION_LEVEL))
 
     if skip is None and _mask_is_interpolating(profile) and profile.m == 1:
         record("interpolation", lambda: check_interpolation(grid0),
@@ -565,7 +575,8 @@ def run_all(profile: SpectralProfile, config: PropertyConfig | None = None) -> P
                 worst = max(worst, fit)
         return worst
     record("polynomial_reproduction", reproduction, cfg.tol_reproduction,
-           lambda r: r <= cfg.tol_reproduction, skip)
+           lambda r: r <= cfg.tol_reproduction,
+           skip or (None if cfg.J >= 1 else _NO_OFF_INTEGER_LEVEL))
 
     if cfg.approx_levels is not None:
         target = 2 * profile.m - 0.4

@@ -70,6 +70,47 @@ def test_integer_values_nonsimple_eigenvalue():
         cascade.integer_values(A, rc, cascade.SupportBox(np.array([0]), np.array([1])))
 
 
+def _literal_transition(A, rc, box):
+    """T[j, k] = c_{A j - k} over every box point, pair by pair."""
+    pts = [tuple(int(v) for v in p)
+           for p in np.indices(tuple(box.widths + 1)).reshape(A.d, -1).T + box.lo]
+    rows = [[int(v) for v in row] for row in A.entries]
+    T = np.zeros((len(pts), len(pts)))
+    for a, j in enumerate(pts):
+        Aj = [sum(r * x for r, x in zip(row, j)) for row in rows]
+        for b, k in enumerate(pts):
+            T[a, b] = rc.c.get(tuple(u - v for u, v in zip(Aj, k)), 0.0)
+    return T, pts
+
+
+M3 = [[0, 0, 2], [1, 0, 0], [0, 1, 0]]  # companion matrix of x^3 - 2
+
+
+@pytest.mark.parametrize("name,m", [(n, m) for n in ("A1", "A2", "A3", "A4", "uni")
+                                    for m in (1, 2)] + [("C3", 1)])
+def test_pruned_transition_matches_literal_definition(name, m, profiles):
+    p = spectral.make_profile(M3) if name == "C3" else profiles(name)
+    rc = _rc(p, m)
+    box = cascade.support_box(p.A, rc)
+    T_full, box_pts = _literal_transition(p.A, rc, box)
+    lam, vecs = np.linalg.eig(T_full)
+    v = vecs[:, np.argmin(np.abs(lam - 1.0))].real
+    v = v / v.sum()
+
+    T, pts = cascade.transition_matrix(p.A, rc, box)
+    assert pts.dtype == np.int64 and pts.shape == (len(T), p.d)
+    kept_pts = set(map(tuple, pts.tolist()))
+    kept = np.array([j in kept_pts for j in box_pts])
+    assert np.array_equal(T, T_full[np.ix_(kept, kept)])
+    assert np.all(np.any(T != 0.0, axis=1))
+    # a zero row on the surviving set forces v_j = 0, so pruning loses nothing
+    assert np.all(v[~kept] == 0.0)
+
+    g = cascade.integer_values(p.A, rc, box)
+    ref = np.array([g.value_at_index(j) for j in box_pts])
+    assert np.max(np.abs(ref - v)) < 1e-12
+
+
 def test_refine_hat_midpoint(profiles):
     p = profiles("uni")
     rc = _rc(p)

@@ -179,6 +179,13 @@ def test_verify_univariate_passes(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_univariate_coarse_level_passes(capsys):
+    code, out = run_cli(capsys, "verify", "--matrix", "2", "--J", "2")
+    assert code == 0
+    statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert statuses["partition_of_unity"] == "skip"
+
+
 def test_verify_a2_fails(capsys):
     code, out = run_cli(capsys, "verify", "--matrix", "0,-2;1,1", "--J", "4")
     assert code == 1

@@ -194,6 +194,22 @@ def test_run_all_convolution_skips_without_coarser_level(profiles):
     assert "J >= 1" in conv.note
 
 
+@pytest.mark.parametrize("name,J", [("uni", 0), ("uni", 2), ("A1", 0), ("A1", 2)])
+def test_run_all_skips_checks_below_their_level(name, J, profiles):
+    report = run_all(profiles(name, 1), PropertyConfig(J=J))
+    checks = {c.name: c for c in report.checks}
+    assert (checks["partition_of_unity"].status, checks["partition_of_unity"].note) \
+        == ("skip", "need J >= 3")
+    reproduction = checks["polynomial_reproduction"]
+    if J == 0:
+        assert reproduction.status == "skip" and "J >= 1" in reproduction.note
+    else:
+        assert reproduction.status == "pass"
+    # a level-2 rectangle rule for the quincunx misses the level-5 tolerance
+    failed = {c.name for c in report.checks if c.status == "fail"}
+    assert failed == (set() if name == "uni" or J == 0 else {"convolution"})
+
+
 def test_run_all_a2_riesz_fails_report_completes(profiles):
     report = run_all(profiles("A2", 1), PropertyConfig(J=4))
     st = _statuses(report)

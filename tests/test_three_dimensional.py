@@ -6,6 +6,7 @@ diag(2^(4/3), 2^(2/3), 1).
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,21 @@ def test_cascade_partition_of_unity(profile3):
     grid = cascade.sample_phi_m(profile3.A, profile3.m0, 1, 3)
     assert grid.mass() == pytest.approx(1.0, abs=1e-9)
     assert properties.check_partition_of_unity(grid, n_samples=25) < 1e-8
+
+
+def test_cascade_order_two(profile3):
+    # the transition matrix over the whole 4641-point box took ~100 s to
+    # build pair by pair; pruned to its 1041-point support it is fast
+    t0 = time.perf_counter()
+    grid = cascade.sample_phi_m(profile3.A, profile3.m0, 2, 3)
+    assert time.perf_counter() - t0 < 30.0
+    assert grid.mass() == pytest.approx(1.0, abs=1e-9)
+    assert properties.check_partition_of_unity(grid, n_samples=25) < 1e-8
+    # level 0 read back off level 3 is phi(A^3 j) = phi(j): the eigen
+    # equation of the unpruned operator holds on every box point
+    g0 = cascade.sample_phi_m(profile3.A, profile3.m0, 2, 0)
+    back = cascade.coarsen(cascade.coarsen(cascade.coarsen(grid)))
+    assert np.max(np.abs(back.data - g0.data)) < 1e-12
 
 
 def test_strang_fix_and_refinement(profile3):
