@@ -28,6 +28,7 @@ from .trigpoly import TrigPoly
 TWO_PI = 2.0 * math.pi
 NEAR_LATTICE = 1e-6  # Euclidean distance below which the quotient is extrapolated
 DEFAULT_TOL = 1e-9
+GRID_BLOCK = 1 << 16  # estimate_B evaluates its grid this many points at a time
 
 
 @dataclass
@@ -86,11 +87,12 @@ def _reduce_torus(xi: np.ndarray):
     return eta, k
 
 
-def _richardson_even_limit(f, h0: float = 0.02, levels: int = 4) -> float:
+def _richardson_even_limit(f, h0: float = 0.02, levels: int = 4):
     """Limit at 0 of an even smooth function via Richardson in h^2.
 
     f is sampled at h0, h0/2, ..., h0/2^(levels-1); a Neville tableau in h^2
-    removes the h^2, h^4, ... terms (fourth order and beyond).
+    removes the h^2, h^4, ... terms (fourth order and beyond).  The tableau
+    is elementwise, so f may return an array of values, one per direction.
     """
     hs = [h0 / 2 ** i for i in range(levels)]
     vals = [f(h) for h in hs]
@@ -125,15 +127,11 @@ def mu(profile: SpectralProfile, xi) -> float | np.ndarray:
     far = r2 >= NEAR_LATTICE ** 2
     if np.any(far):
         out[far] = _mu_direct(profile, eta[far])
-    for i in np.nonzero(~far)[0]:
-        r = math.sqrt(r2[i])
-        if r == 0.0:
-            out[i] = 1.0
-        else:
-            v = eta[i] / r
-            out[i] = _richardson_even_limit(
-                lambda h: float(_mu_direct(profile, (h * v)[None, :])[0])
-            )
+    out[r2 == 0.0] = 1.0
+    near = ~far & (r2 != 0.0)
+    if np.any(near):
+        V = eta[near] / np.sqrt(r2[near])[:, None]
+        out[near] = _richardson_even_limit(lambda h: _mu_direct(profile, h * V))
     return float(out[0]) if single else out
 
 
@@ -221,16 +219,13 @@ def phi_hat(profile: SpectralProfile, xi, tol: float | None = None,
     if np.any(far):
         ratio[far] = (trigpoly.eval_G_stable(profile.Q2, x[far])
                       / matana.eval_P(profile.Q2, x[far]))
-    for i in np.nonzero(~far)[0]:
-        r = math.sqrt(r2[i])
-        if r == 0.0:
-            ratio[i] = 1.0
-        else:
-            v = x[i] / r
-            ratio[i] = _richardson_even_limit(
-                lambda h: float(trigpoly.eval_G_stable(profile.Q2, h * v)
-                                / matana.eval_P(profile.Q2, h * v))
-            )
+    ratio[r2 == 0.0] = 1.0
+    near = ~far & (r2 != 0.0)
+    if np.any(near):
+        V = x[near] / np.sqrt(r2[near])[:, None]
+        ratio[near] = _richardson_even_limit(
+            lambda h: trigpoly.eval_G_stable(profile.Q2, h * V) / matana.eval_P(profile.Q2, h * V)
+        )
     base = ratio * M_eval(profile, x, tol)
     # Exact nonzero lattice points: G vanishes analytically, clamp the dust.
     eta, k = _reduce_torus(x)
@@ -262,19 +257,24 @@ def _golden_max(f, lo: float, hi: float, iters: int = 60):
 def estimate_B(profile: SpectralProfile, grid_n: int = 256, refine_iters: int = 12) -> float:
     """Estimate B = sup mu over the torus by dense grid plus local refinement.
 
-    mu is 2 pi periodic, so the grid covers [-pi, pi)^d; refinement runs
+    mu is 2 pi periodic, so the grid covers [-pi, pi)^d, evaluated in blocks
+    of GRID_BLOCK points so memory stays flat in grid_n; refinement runs
     coordinate-wise golden-section sweeps around the best grid cell.  The
     result is monotone in the observed values (never below the grid max).
     """
     if grid_n < 32:
         raise ValueError("grid_n must be >= 32")
     d = profile.d
-    axes = [np.linspace(-math.pi, math.pi, grid_n, endpoint=False) for _ in range(d)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    vals = mu(profile, grid)
-    best_idx = int(np.argmax(vals))
-    best_x = grid[best_idx].copy()
-    best = float(vals[best_idx])
+    axis_vals = np.linspace(-math.pi, math.pi, grid_n, endpoint=False)
+    n_points = grid_n ** d
+    best = -math.inf
+    for start in range(0, n_points, GRID_BLOCK):
+        flat = np.arange(start, min(start + GRID_BLOCK, n_points))
+        block = axis_vals[np.stack(np.unravel_index(flat, (grid_n,) * d), axis=-1)]
+        vals = mu(profile, block)
+        i = int(np.argmax(vals))
+        if vals[i] > best:  # strict: the first maximum wins, as in np.argmax
+            best, best_x = float(vals[i]), block[i].copy()
     cell = TWO_PI / grid_n
 
     def f_at(x):

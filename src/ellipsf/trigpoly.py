@@ -14,6 +14,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -25,33 +28,67 @@ _PRUNE_REL = 1e-14
 REALNESS_TOL = 1e-12
 
 
-def _phase(fr: Fraction) -> complex:
-    """exp(-2 pi i fr), exact for the dyadic values 0, 1/2, 1/4, 3/4."""
-    fr = fr % 1
-    if fr == 0:
+def _negate(k: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-v for v in k)
+
+
+def _turns(s) -> tuple[tuple[int, ...], int]:
+    """(n, D) with s = n / D exactly: D the common denominator of rational s."""
+    s = [Fraction(c) for c in s]
+    D = math.lcm(*(c.denominator for c in s))
+    return tuple(c.numerator * (D // c.denominator) for c in s), D
+
+
+def _phase(num: int, den: int) -> complex:
+    """exp(-2 pi i num/den), exact for the dyadic values 0, 1/2, 1/4, 3/4."""
+    r = num % den
+    if r == 0:
         return 1.0 + 0.0j
-    if fr == Fraction(1, 2):
+    if 2 * r == den:
         return -1.0 + 0.0j
-    if fr == Fraction(1, 4):
+    if 4 * r == den:
         return -1.0j
-    if fr == Fraction(3, 4):
+    if 4 * r == 3 * den:
         return 1.0j
-    return cmath.exp(-2j * math.pi * float(fr))
+    return cmath.exp(-2j * math.pi * (r / den))
 
 
 class TrigPoly:
-    """Finite-support trigonometric polynomial sum_k c_k e^{-i k.xi}."""
+    """Finite-support trigonometric polynomial sum_k c_k e^{-i k.xi}; immutable.
 
-    __slots__ = ("d", "coeffs")
+    The terms are stored once, at construction: K (T, d) holds the nonzero
+    frequencies in lexicographic order and C (T,) their coefficients, both
+    read-only; `coeffs` is a read-only {k: c_k} view of the same terms in
+    the order they were given.  For evaluation the pairs {k, -k} are folded
+    onto one representative k (the larger one): alpha_k = c_k + c_{-k} and
+    beta_k = c_k - c_{-k}, with alpha_0 = c_0 and beta_0 = 0, so that
+
+        p(xi) = sum_k alpha_k cos(k.xi) - i beta_k sin(k.xi),
+        Re p(xi) = sum_k Re(alpha_k) cos(k.xi) + Im(beta_k) sin(k.xi)
+
+    for every polynomial, real or not.  Real even polynomials (G and every
+    mask) have Im(beta) = 0 and evaluate as a cosine sum alone.  The folded
+    arrays are built on the first evaluation and kept.
+    """
 
     def __init__(self, d: int, coeffs: dict | None = None):
-        self.d = d
-        self.coeffs: dict[tuple[int, ...], complex] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                c = complex(c)
-                if c != 0:
-                    self.coeffs[tuple(int(v) for v in k)] = c
+        terms = {}
+        for k, c in (coeffs or {}).items():
+            c = complex(c)
+            if c != 0:
+                terms[tuple(map(int, k))] = c
+        keys = sorted(terms)
+        K = np.fromiter(chain.from_iterable(keys), np.int64, len(keys) * d).reshape(len(keys), d)
+        C = np.array([terms[k] for k in keys], dtype=complex)
+        K.flags.writeable = C.flags.writeable = False
+        init = object.__setattr__
+        init(self, "d", d)
+        init(self, "K", K)
+        init(self, "C", C)
+        init(self, "coeffs", MappingProxyType(terms))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TrigPoly is immutable; cannot set {name!r}")
 
     @classmethod
     def constant(cls, d: int, value=1.0) -> "TrigPoly":
@@ -63,27 +100,41 @@ class TrigPoly:
     def __repr__(self):
         return f"TrigPoly(d={self.d}, terms={len(self.coeffs)})"
 
-    def _frequency_matrix(self):
-        K = np.array(sorted(self.coeffs), dtype=np.int64).reshape(len(self.coeffs), self.d)
-        C = np.array([self.coeffs[tuple(k)] for k in K])
-        return K, C
+    @cached_property
+    def _folded(self):
+        """(H, alpha, beta, has_sin): representatives H (n, d), ascending."""
+        reps = sorted({max(k, _negate(k)) for k in self.coeffs})
+        alpha, beta = [], []
+        for k in reps:
+            c = self.coeffs.get(k, 0j)
+            if any(k):
+                cm = self.coeffs.get(_negate(k), 0j)
+                alpha.append(c + cm)
+                beta.append(c - cm)
+            else:
+                alpha.append(c)
+                beta.append(0j)
+        H = np.array(reps, dtype=np.int64).reshape(len(reps), self.d)
+        has_sin = any(z.imag != 0 for z in beta)
+        return H, np.array(alpha, dtype=complex), np.array(beta, dtype=complex), has_sin
 
     def eval(self, xi):
         """Evaluate at a point (d,) or batch (N, d); returns complex."""
-        if not self.coeffs:
-            x = np.asarray(xi, dtype=float)
-            return 0j if x.ndim == 1 else np.zeros(x.shape[0], dtype=complex)
-        K, C = self._frequency_matrix()
+        H, alpha, beta, _ = self._folded
         x = np.asarray(xi, dtype=float)
-        single = x.ndim == 1
-        x = np.atleast_2d(x)
-        vals = np.exp(-1j * (x @ K.T)) @ C
-        return complex(vals[0]) if single else vals
+        ph = np.atleast_2d(x) @ H.T
+        vals = np.cos(ph) @ alpha - 1j * (np.sin(ph) @ beta)
+        return complex(vals[0]) if x.ndim == 1 else vals
 
     def eval_real(self, xi):
-        """Real part of eval; the natural value for real even polynomials."""
-        out = self.eval(xi)
-        return out.real if isinstance(out, np.ndarray) else out.real
+        """Real part of eval, from the folded cosine (and, if any, sine) sum."""
+        H, alpha, beta, has_sin = self._folded
+        x = np.asarray(xi, dtype=float)
+        ph = np.atleast_2d(x) @ H.T
+        vals = np.cos(ph) @ alpha.real
+        if has_sin:
+            vals += np.sin(ph) @ beta.imag
+        return float(vals[0]) if x.ndim == 1 else vals
 
     def eval_at_two_pi(self, s) -> complex:
         """Evaluate at xi = 2 pi s for exact rational s, with compensated sums.
@@ -91,32 +142,26 @@ class TrigPoly:
         Phases e^{-2 pi i k.s} are exact for dyadic k.s, so digit products
         with determinant a power of two come out bit-exact.
         """
-        s = tuple(Fraction(c) for c in s)
+        n, D = _turns(s)
         re, im = [], []
         for k, c in self.coeffs.items():
-            fr = sum((Fraction(ki) * si for ki, si in zip(k, s)), Fraction(0))
-            z = c * _phase(fr)
+            z = c * _phase(sum(ki * ni for ki, ni in zip(k, n)), D)
             re.append(z.real)
             im.append(z.imag)
         return complex(math.fsum(re), math.fsum(im))
 
     def shift_argument(self, t) -> "TrigPoly":
         """Realize xi -> xi + 2 pi t exactly for rational t: c_k *= e^{-2 pi i k.t}."""
-        t = tuple(Fraction(c) for c in t)
         if len(t) != self.d:
             raise ValueError("shift vector has wrong dimension")
-        out = {}
-        for k, c in self.coeffs.items():
-            fr = sum((Fraction(ki) * ti for ki, ti in zip(k, t)), Fraction(0))
-            out[k] = c * _phase(fr)
-        return TrigPoly(self.d, out)
+        n, D = _turns(t)
+        return TrigPoly(self.d, {k: c * _phase(sum(ki * ni for ki, ni in zip(k, n)), D)
+                                 for k, c in self.coeffs.items()})
 
     def transform_frequencies(self, M) -> "TrigPoly":
         """Map k -> M k on frequencies; the result evaluates to p(M^T xi)."""
-        M = np.asarray(M, dtype=np.int64)
         out = {}
-        for k, c in self.coeffs.items():
-            nk = tuple(int(v) for v in M @ np.array(k, dtype=np.int64))
+        for nk, c in zip(map(tuple, (self.K @ np.asarray(M, dtype=np.int64).T).tolist()), self.C):
             out[nk] = out.get(nk, 0) + c
         return TrigPoly(self.d, out)
 
@@ -144,9 +189,7 @@ class TrigPoly:
             for k2, c2 in other.coeffs.items():
                 k = tuple(a + b for a, b in zip(k1, k2))
                 out[k] = out.get(k, 0) + c1 * c2
-        p = TrigPoly(self.d, out)
-        p._prune()
-        return p
+        return TrigPoly(self.d, out)._prune()
 
     __rmul__ = __mul__
 
@@ -165,20 +208,19 @@ class TrigPoly:
             return other
         return TrigPoly.constant(self.d, other)
 
-    def _prune(self):
+    def _prune(self) -> "TrigPoly":
+        """Copy without the terms at or below _PRUNE_REL of the largest."""
         if not self.coeffs:
-            return
+            return self
         cut = _PRUNE_REL * max(abs(c) for c in self.coeffs.values())
-        for k in [k for k, c in self.coeffs.items() if abs(c) <= cut]:
-            del self.coeffs[k]
+        return TrigPoly(self.d, {k: c for k, c in self.coeffs.items() if abs(c) > cut})
 
     @property
     def is_real(self) -> bool:
         """True iff c_{-k} = conj(c_k) for every frequency (checked, not assumed)."""
         scale = max((abs(c) for c in self.coeffs.values()), default=1.0)
         for k, c in self.coeffs.items():
-            mk = tuple(-v for v in k)
-            if abs(self.coeffs.get(mk, 0) - c.conjugate()) > REALNESS_TOL * max(scale, 1.0):
+            if abs(self.coeffs.get(_negate(k), 0) - c.conjugate()) > REALNESS_TOL * max(scale, 1.0):
                 return False
         return True
 
@@ -300,29 +342,22 @@ def refinement_coefficients(m0: TrigPoly, q: int) -> RefinementCoefficients:
 
 
 def render_cosine(p: TrigPoly, digits: int = 12) -> str:
-    """Human-readable cosine/sine rendering for comparison against tables."""
-    coeffs = dict(p.coeffs)
-    zero = (0,) * p.d
-    parts = []
-    c0 = coeffs.pop(zero, 0)
-    if c0 != 0 or not coeffs:
-        parts.append(f"{c0.real:.{digits}g}")
-    seen = set()
-    for k in sorted(coeffs):
-        if k in seen:
+    """Human-readable cosine/sine rendering for comparison against tables.
+
+    Reads the folded form: the constant first, then each representative
+    frequency k, in descending order, as Re(alpha_k) cos + Im(beta_k) sin.
+    """
+    H, alpha, beta, _ = p._folded
+    c0 = p.coeffs.get((0,) * p.d, 0)
+    parts = [f"{c0.real:.{digits}g}"] if c0 != 0 or not p.coeffs else []
+    for pos, a, b in zip(H.tolist()[::-1], alpha.real[::-1], beta.imag[::-1]):
+        if not any(pos):
             continue
-        mk = tuple(-v for v in k)
-        pos = max(k, mk)
-        seen.update((k, mk))
-        ck = coeffs.get(pos, 0)
-        cmk = coeffs.get(tuple(-v for v in pos), 0)
         freq = " + ".join(
             f"{'' if abs(v) == 1 else str(abs(v)) + ' '}x{i + 1}" if v > 0
             else f"-{'' if abs(v) == 1 else str(abs(v)) + ' '}x{i + 1}"
             for i, v in enumerate(pos) if v != 0
         ).replace("+ -", "- ")
-        a = (ck + cmk).real
-        b = (1j * (cmk - ck)).real
         if abs(a) > 1e-15:
             parts.append(f"{a:+.{digits}g} cos({freq})")
         if abs(b) > 1e-15:

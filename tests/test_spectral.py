@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ellipsf import matana, spectral
+from ellipsf import matana, spectral, trigpoly
 from ellipsf.errors import NotIsotropic
 from ellipsf.spectral import M_eval, estimate_B, mu, phi_hat, riesz_verdict
 
@@ -148,6 +148,53 @@ def test_phi_hat_near_zero_richardson(profiles):
     # inside the near-lattice window the removable singularity is extrapolated
     val = phi_hat(p, np.array([1e-8, -1e-8]))
     assert val == pytest.approx(1.0, abs=1e-9)
+
+
+def _near_lattice_points(d, rng, n=60):
+    """Points at distances 1e-7 .. 1e-9 from 2 pi Z^d (origin included)."""
+    k = rng.integers(-3, 4, size=(n, d)).astype(float)
+    k[:10] = 0.0
+    v = rng.normal(size=(n, d))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    r = 10.0 ** rng.uniform(-9, -7, size=n)
+    return 2 * math.pi * k + r[:, None] * v
+
+
+def _scalar_limit(f, x):
+    """Per-point Richardson limit along x / |x|, the reference for the batch."""
+    v = x / np.linalg.norm(x)
+    return spectral._richardson_even_limit(lambda h: float(f((h * v)[None, :])[0]))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "uni"])
+def test_batched_richardson_matches_per_point_limit(name, profiles, rng):
+    p = profiles(name)
+    pts = _near_lattice_points(p.d, rng)
+    eta, _ = spectral._reduce_torus(pts)
+    expected = [_scalar_limit(lambda y: spectral._mu_direct(p, y), e) for e in eta]
+    assert np.max(np.abs(mu(p, pts) - expected)) < 1e-13
+    # phi_hat extrapolates G/P at the origin; M comes from the same batch.
+    near0 = pts[:10] - 2 * math.pi * np.round(pts[:10] / (2 * math.pi))
+    def g_over_p(y):
+        return trigpoly.eval_G_stable(p.Q2, y) / matana.eval_P(p.Q2, y)
+
+    ratio = [_scalar_limit(g_over_p, x) for x in near0]
+    expected = (np.array(ratio) * M_eval(p, near0)) ** p.m
+    assert np.max(np.abs(phi_hat(p, near0) - expected)) < 1e-13
+    # The limit is never taken at an exact lattice point: mu is exactly 1 there.
+    exact = np.vstack([np.zeros(p.d), 2 * math.pi * np.ones(p.d), pts[:3]])
+    assert np.all(mu(p, exact)[:2] == 1.0)
+
+
+@pytest.mark.parametrize("block,grid_n", [(spectral.GRID_BLOCK, 257), (1000, 64)])
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4"])
+def test_blocked_estimate_B_matches_one_grid(name, block, grid_n, profiles, monkeypatch):
+    p = profiles(name)
+    assert grid_n ** p.d % block != 0
+    monkeypatch.setattr(spectral, "GRID_BLOCK", block)
+    blocked = estimate_B(p, grid_n=grid_n, refine_iters=6)
+    monkeypatch.setattr(spectral, "GRID_BLOCK", grid_n ** p.d)
+    assert estimate_B(p, grid_n=grid_n, refine_iters=6) == blocked
 
 
 @pytest.mark.parametrize("name,expected", sorted(B_FIXTURES.items()))

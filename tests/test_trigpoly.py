@@ -1,8 +1,11 @@
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellipsf import digits, matana, trigpoly
 from ellipsf.errors import MaskPoleAtDigit, NotPositiveDefinite
@@ -28,6 +31,71 @@ def test_eval_G_quincunx_at_pi_pi():
 def test_eval_at_zero_is_coefficient_sum():
     p = TrigPoly(2, {(1, 0): 0.3, (0, -2): 0.7 + 0.1j, (0, 0): -1.0})
     assert p.eval(np.zeros(2)) == pytest.approx(0.3 + 0.7 + 0.1j - 1.0)
+
+
+@st.composite
+def _poly_and_points(draw):
+    """A polynomial in d = 1..3 (Hermitian or not) and points with |xi| <= 40."""
+    d = draw(st.integers(1, 3))
+    freq = st.tuples(*[st.integers(-4, 4)] * d)
+    part = st.floats(-2.0, 2.0)
+    coeff = st.builds(complex, part, part)
+    coeffs = draw(st.dictionaries(freq, coeff, max_size=12))
+    if draw(st.booleans()):  # Hermitian: c_{-k} = conj(c_k), a real polynomial
+        hermitian = {}
+        for k, c in coeffs.items():
+            c = c if any(k) else complex(c.real)
+            hermitian[k], hermitian[tuple(-v for v in k)] = c, c.conjugate()
+        coeffs = hermitian
+    x = np.array(draw(st.lists(st.lists(part, min_size=d, max_size=d), min_size=1, max_size=8)))
+    norms = np.linalg.norm(x, axis=1)
+    scale = draw(st.floats(0.0, 40.0)) / np.where(norms > 0, norms, 1.0)
+    return d, coeffs, x * scale[:, None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_and_points())
+def test_eval_matches_termwise_sum(case):
+    d, coeffs, xs = case
+    p = TrigPoly(d, coeffs)
+    literal = np.array([sum((c * cmath.exp(-1j * sum(ki * xi for ki, xi in zip(k, x)))
+                             for k, c in coeffs.items()), 0j) for x in xs])
+    bound = 1e-12 * max(sum(abs(c) for c in coeffs.values()), 1e-300)
+    assert np.max(np.abs(p.eval(xs) - literal)) <= bound
+    assert np.max(np.abs(p.eval_real(xs) - literal.real)) <= bound
+    assert abs(p.eval(xs[0]) - literal[0]) <= bound
+    assert abs(p.eval_real(xs[0]) - literal[0].real) <= bound
+
+
+def test_trigpoly_is_immutable():
+    p = TrigPoly(2, {(1, 0): 0.5, (-1, 0): 0.5, (0, 2): 0.25j})
+    with pytest.raises(TypeError):
+        p.coeffs[(1, 0)] = 2.0
+    with pytest.raises(ValueError):
+        p.C[0] = 2.0
+    with pytest.raises(ValueError):
+        p.K[0, 0] = 7
+    with pytest.raises(AttributeError):
+        p.d = 3
+    assert [tuple(k) for k in p.K.tolist()] == sorted(p.coeffs) == [(-1, 0), (0, 2), (1, 0)]
+    assert [p.coeffs[tuple(k)] for k in p.K.tolist()] == p.C.tolist()
+
+
+def test_arithmetic_leaves_operands_unchanged():
+    p = TrigPoly(2, {(1, 0): 0.5, (-1, 0): 0.5, (0, 0): 1e-20, (1, 1): 0.25j})
+    q = TrigPoly(2, {(0, 1): -1.0, (0, 0): 2.0})
+    before = [(dict(t.coeffs), t.K.copy(), t.C.copy()) for t in (p, q)]
+    x = np.array([[0.3, -1.1], [2.0, 0.7]])
+    values = [p.eval(x), q.eval(x)]
+    results = [p + q, p - q, p * q, q * p, 2.0 * p, p ** 3,
+               p.shift_argument((Fraction(1, 2), Fraction(1, 3))),
+               p.transform_frequencies([[1, 1], [1, -1]])]
+    assert all(r is not p and r is not q for r in results)
+    assert (p * q).coeffs.get((0, 0), 0) == 0  # the product was pruned, not p
+    for t, (coeffs, K, C), v in zip((p, q), before, values):
+        assert dict(t.coeffs) == coeffs
+        assert np.array_equal(t.K, K) and np.array_equal(t.C, C)
+        assert np.array_equal(t.eval(x), v)
 
 
 def test_mask_normalization_at_zero():
