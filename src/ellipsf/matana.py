@@ -10,6 +10,7 @@ symmetric matrices; no symbolic eigenvalue machinery is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,14 +59,16 @@ class DilationMatrix:
     def A(self) -> np.ndarray:
         return self.entries.astype(float)
 
-    @property
+    @cached_property
     def inv(self) -> np.ndarray:
-        return np.linalg.inv(self.entries.astype(float))
+        out = np.linalg.inv(self.entries.astype(float))
+        out.setflags(write=False)
+        return out
 
-    @property
+    @cached_property
     def inv_T(self) -> np.ndarray:
-        """A^{-T}, the contraction that drives all Fourier-domain orbits."""
-        return np.linalg.inv(self.entries.astype(float)).T
+        """A^{-T}, the contraction that drives all Fourier-domain orbits (read-only, as `inv`)."""
+        return self.inv.T
 
     def power(self, j: int) -> np.ndarray:
         """Exact integer matrix power A^j (j >= 0)."""

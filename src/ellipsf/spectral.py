@@ -5,15 +5,20 @@ contracting orbit of A^{-T}, the transform phi_hat = (G/P)^m M^m, the
 brute-force supremum B of mu, and the resulting Riesz-basis verdict with its
 decay exponent.
 
+phi_hat is evaluated in its telescoped form.  With the contraction B = A^{-T},
+P(B xi) = q^{-2/d} P(xi) gives
+(G/P)(xi) prod_{j=0..J} mu(B^j xi) = (G/P)(B^{J+1} xi) prod_{j=1..J+1} m0(B^j xi),
+which takes one mask evaluation per level and one G/P at the end.
+
 Singularities: mu and G/P have removable 0/0 points on 2 pi Z^d (resp. at 0).
-Exact lattice queries return the analytic limit; queries within NEAR_LATTICE
-of the lattice are answered by Richardson extrapolation along the query
-direction, since floats cannot form the quotient there.  Everywhere else the
-direct formula is numerically safe because G is evaluated in its sin form.
+G is evaluated in its sin form, so both quotients stay exact next to them;
+below LIMIT_RADIUS, where the squares underflow, their limit 1 is returned.
+Query rows with a NaN or infinite coordinate give NaN.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +31,9 @@ from .matana import DilationMatrix, QuadraticForm
 from .trigpoly import TrigPoly
 
 TWO_PI = 2.0 * math.pi
-NEAR_LATTICE = 1e-6  # Euclidean distance below which the quotient is extrapolated
+# |eta| below which mu and G/P return their limit 1: there the squares in the
+# sin-form quotients underflow (at |eta| = 1e-160 they are off by 1e-3).
+LIMIT_RADIUS = 1e-150
 DEFAULT_TOL = 1e-9
 GRID_BLOCK = 1 << 16  # estimate_B evaluates its grid this many points at a time
 
@@ -87,24 +94,27 @@ def _reduce_torus(xi: np.ndarray):
     return eta, k
 
 
-def _richardson_even_limit(f, h0: float = 0.02, levels: int = 4):
-    """Limit at 0 of an even smooth function via Richardson in h^2.
+def _pointwise(f):
+    """Lift f(profile, x, ...) on a finite batch x (N, d) to a point (d,) or batch.
 
-    f is sampled at h0, h0/2, ..., h0/2^(levels-1); a Neville tableau in h^2
-    removes the h^2, h^4, ... terms (fourth order and beyond).  The tableau
-    is elementwise, so f may return an array of values, one per direction.
+    Rows with a NaN or infinite coordinate give NaN and are left out of the
+    batch f sees, so they change neither the other rows nor a truncation
+    depth taken from the batch.
     """
-    hs = [h0 / 2 ** i for i in range(levels)]
-    vals = [f(h) for h in hs]
-    x = [h * h for h in hs]
-    for j in range(1, levels):
-        for i in range(levels - j):
-            vals[i] = vals[i + 1] + (vals[i + 1] - vals[i]) * x[i + 1] / (x[i] - x[i + 1])
-    return vals[0]
+    @functools.wraps(f)
+    def lifted(profile, xi, *args, **kwargs):
+        x = np.asarray(xi, dtype=float)
+        single = x.ndim == 1
+        x = np.atleast_2d(x)
+        finite = np.all(np.isfinite(x), axis=1)
+        out = np.full(len(x), np.nan)
+        out[finite] = f(profile, x[finite], *args, **kwargs)
+        return float(out[0]) if single else out
+    return lifted
 
 
 def _mu_direct(profile: SpectralProfile, eta: np.ndarray) -> np.ndarray:
-    """q^{2/d} m0(B eta) G(B eta) / G(eta) for eta safely off the lattice."""
+    """q^{2/d} m0(B eta) G(B eta) / G(eta) for |eta| >= LIMIT_RADIUS."""
     B = profile.contraction
     Beta = eta @ B.T
     num = profile.m0.eval_real(Beta) * trigpoly.eval_G_stable(profile.Q2, Beta)
@@ -112,27 +122,18 @@ def _mu_direct(profile: SpectralProfile, eta: np.ndarray) -> np.ndarray:
     return profile.q ** (2.0 / profile.d) * num / den
 
 
-def mu(profile: SpectralProfile, xi) -> float | np.ndarray:
+@_pointwise
+def mu(profile: SpectralProfile, x: np.ndarray) -> np.ndarray:
     """Correction factor mu; 2 pi periodic, equal to 1 on 2 pi Z^d.
 
     Accepts a point (d,) or a batch (N, d).  The argument is reduced to the
     fundamental cell first, which makes periodicity exact in floats.
     """
-    x = np.asarray(xi, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
     eta, _ = _reduce_torus(x)
-    r2 = np.sum(eta * eta, axis=1)
-    out = np.empty(len(x))
-    far = r2 >= NEAR_LATTICE ** 2
-    if np.any(far):
-        out[far] = _mu_direct(profile, eta[far])
-    out[r2 == 0.0] = 1.0
-    near = ~far & (r2 != 0.0)
-    if np.any(near):
-        V = eta[near] / np.sqrt(r2[near])[:, None]
-        out[near] = _richardson_even_limit(lambda h: _mu_direct(profile, h * V))
-    return float(out[0]) if single else out
+    out = np.ones(len(x))
+    far = np.sum(eta * eta, axis=1) >= LIMIT_RADIUS ** 2
+    out[far] = _mu_direct(profile, eta[far])
+    return out
 
 
 def mu_quadratic_constant(profile: SpectralProfile) -> float:
@@ -165,8 +166,13 @@ def mu_quadratic_constant(profile: SpectralProfile) -> float:
     return C
 
 
-def _truncation_depth(profile: SpectralProfile, pmax: float, tol: float) -> int:
-    """Smallest J with the geometric tail bound C q^{-2J/d} P < tol."""
+def _truncation_depth(profile: SpectralProfile, x: np.ndarray, tol: float | None) -> int:
+    """Smallest J with the geometric tail bound C q^{-2J/d} P < tol for every row of x."""
+    if tol is None:
+        tol = profile.truncation_tol
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    pmax = max(float(np.max(matana.eval_P(profile.Q2, x))) if len(x) else 0.0, 1e-300)
     C = mu_quadratic_constant(profile)
     ratio = profile.q ** (-2.0 / profile.d)
     budget = tol * (1.0 - ratio) / (2.0 * C)
@@ -176,63 +182,50 @@ def _truncation_depth(profile: SpectralProfile, pmax: float, tol: float) -> int:
     return min(max(J, 3), 400)
 
 
-def M_eval(profile: SpectralProfile, xi, tol: float | None = None) -> float | np.ndarray:
+@_pointwise
+def M_eval(profile: SpectralProfile, x: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Infinite product M(xi) = prod_j mu((A^{-T})^j xi), truncated below tol.
 
     The truncation depth comes from |mu - 1| <= C P and the invariance
     P(A^{-T} xi) = q^{-2/d} P(xi), so the dropped tail is a geometric series.
     """
-    if tol is None:
-        tol = profile.truncation_tol
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x = np.asarray(xi, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    pmax = float(np.max(matana.eval_P(profile.Q2, x))) if len(x) else 0.0
-    J = _truncation_depth(profile, max(pmax, 1e-300), tol)
+    J = _truncation_depth(profile, x, tol)
     out = np.ones(len(x))
-    cur = x.copy()
+    cur = x
     B = profile.contraction
     for _ in range(J + 1):
         out *= mu(profile, cur)
         cur = cur @ B.T
-    return float(out[0]) if single else out
+    return out
 
 
-def phi_hat(profile: SpectralProfile, xi, tol: float | None = None,
-            order: int | None = None) -> float | np.ndarray:
-    """phi_hat^m(xi) = (G(xi)/P(xi))^m M(xi)^m with the removable 0/0 at 0.
+@_pointwise
+def phi_hat(profile: SpectralProfile, x: np.ndarray, tol: float | None = None,
+            order: int | None = None) -> np.ndarray:
+    """phi_hat^m(xi) = (G(xi)/P(xi))^m M(xi)^m, truncated below tol as M_eval is.
 
-    Exact nonzero lattice queries return 0 (G vanishes there while P does
-    not); the origin returns 1.  Everything is nonnegative.
+    Evaluated in the telescoped form of the module docstring.  The origin
+    returns 1 and exact nonzero lattice points return 0.  Values are
+    nonnegative up to the rounding of m0 next to its zeros (about 1e-16).
     """
     m = profile.m if order is None else order
     if m < 0:
         raise ValueError("order must be >= 0")
-    x = np.asarray(xi, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    ratio = np.empty(len(x))
-    r2 = np.sum(x * x, axis=1)
-    far = r2 >= NEAR_LATTICE ** 2
-    if np.any(far):
-        ratio[far] = (trigpoly.eval_G_stable(profile.Q2, x[far])
-                      / matana.eval_P(profile.Q2, x[far]))
-    ratio[r2 == 0.0] = 1.0
-    near = ~far & (r2 != 0.0)
-    if np.any(near):
-        V = x[near] / np.sqrt(r2[near])[:, None]
-        ratio[near] = _richardson_even_limit(
-            lambda h: trigpoly.eval_G_stable(profile.Q2, h * V) / matana.eval_P(profile.Q2, h * V)
-        )
-    base = ratio * M_eval(profile, x, tol)
-    # Exact nonzero lattice points: G vanishes analytically, clamp the dust.
+    J = _truncation_depth(profile, x, tol)
+    B = profile.contraction
+    base = np.ones(len(x))
+    cur = x
+    for _ in range(J + 1):
+        cur = cur @ B.T
+        base *= profile.m0.eval_real(cur)
+    far = np.sum(cur * cur, axis=1) >= LIMIT_RADIUS ** 2
+    base[far] *= (trigpoly.eval_G_stable(profile.Q2, cur[far])
+                  / matana.eval_P(profile.Q2, cur[far]))
+    # Exact lattice points: clamp the rounding dust of the vanishing factors.
     eta, k = _reduce_torus(x)
-    exact = (np.max(np.abs(eta), axis=1) == 0.0) & np.any(k != 0, axis=1)
-    base[exact] = 0.0
-    out = base ** m
-    return float(out[0]) if single else out
+    lattice = np.max(np.abs(eta), axis=1) == 0.0
+    base[lattice] = np.all(k[lattice] == 0, axis=1)
+    return base ** m
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 60):

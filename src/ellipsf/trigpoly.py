@@ -32,8 +32,10 @@ def _negate(k: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-v for v in k)
 
 
-def _turns(s) -> tuple[tuple[int, ...], int]:
-    """(n, D) with s = n / D exactly: D the common denominator of rational s."""
+def _turns(s, d: int) -> tuple[tuple[int, ...], int]:
+    """(n, D) with s = n / D exactly: D the common denominator of rational s (length d)."""
+    if len(s) != d:
+        raise ValueError(f"rational argument has wrong dimension {len(s)}, expected {d}")
     s = [Fraction(c) for c in s]
     D = math.lcm(*(c.denominator for c in s))
     return tuple(c.numerator * (D // c.denominator) for c in s), D
@@ -142,7 +144,7 @@ class TrigPoly:
         Phases e^{-2 pi i k.s} are exact for dyadic k.s, so digit products
         with determinant a power of two come out bit-exact.
         """
-        n, D = _turns(s)
+        n, D = _turns(s, self.d)
         re, im = [], []
         for k, c in self.coeffs.items():
             z = c * _phase(sum(ki * ni for ki, ni in zip(k, n)), D)
@@ -152,9 +154,7 @@ class TrigPoly:
 
     def shift_argument(self, t) -> "TrigPoly":
         """Realize xi -> xi + 2 pi t exactly for rational t: c_k *= e^{-2 pi i k.t}."""
-        if len(t) != self.d:
-            raise ValueError("shift vector has wrong dimension")
-        n, D = _turns(t)
+        n, D = _turns(t, self.d)
         return TrigPoly(self.d, {k: c * _phase(sum(ki * ni for ki, ni in zip(k, n)), D)
                                  for k, c in self.coeffs.items()})
 

@@ -200,6 +200,18 @@ def test_orthogonal_part_reconstruction(name):
     assert np.max(np.abs(recon - A.inv_T)) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "uni"])
+def test_inverse_is_computed_once_and_read_only(name):
+    A = matana.validate_dilation(MATRICES[name])
+    expected = np.linalg.inv(np.array(MATRICES[name], dtype=float))
+    assert np.array_equal(A.inv, expected)
+    assert np.array_equal(A.inv_T, expected.T)
+    assert A.inv_T is A.inv_T
+    for M in (A.inv, A.inv_T):
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
+
 def test_eval_P():
     qf = matana.QuadraticForm(np.eye(2), 2)
     assert matana.eval_P(qf, [3.0, 4.0]) == pytest.approx(25.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ellipsf import matana, spectral, trigpoly
+from ellipsf import matana, spectral
 from ellipsf.errors import NotIsotropic
 from ellipsf.spectral import M_eval, estimate_B, mu, phi_hat, riesz_verdict
 
@@ -145,45 +145,79 @@ def test_phi_hat_total_positivity_grid(profiles):
 
 def test_phi_hat_near_zero_richardson(profiles):
     p = profiles("A3")
-    # inside the near-lattice window the removable singularity is extrapolated
+    # next to the removable singularity at the origin
     val = phi_hat(p, np.array([1e-8, -1e-8]))
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
-def _near_lattice_points(d, rng, n=60):
-    """Points at distances 1e-7 .. 1e-9 from 2 pi Z^d (origin included)."""
-    k = rng.integers(-3, 4, size=(n, d)).astype(float)
-    k[:10] = 0.0
+C3 = [[0, 0, 2], [1, 0, 0], [0, 1, 0]]  # companion matrix of x^3 - 2
+LIMIT_CASES = [(name, m) for name in ("A1", "A2", "A3", "A4", "uni", "C3") for m in (1, 2)]
+NEAR_ORIGIN_RADII = (1e-8, 1e-10, 1e-50, 1e-100, 1e-150, 1e-160, 1e-200, 1e-300, 5e-324)
+
+
+@pytest.fixture(scope="module")
+def any_profile(profiles):
+    """any_profile(name, m) -> profile of a conftest fixture or of C3."""
+    c3 = {}
+
+    def get(name, m):
+        if name != "C3":
+            return profiles(name, m)
+        if m not in c3:
+            c3[m] = spectral.make_profile(C3, m=m)
+        return c3[m]
+    return get
+
+
+def _directions(n, d, rng):
     v = rng.normal(size=(n, d))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    r = 10.0 ** rng.uniform(-9, -7, size=n)
-    return 2 * math.pi * k + r[:, None] * v
+    return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _scalar_limit(f, x):
-    """Per-point Richardson limit along x / |x|, the reference for the batch."""
-    v = x / np.linalg.norm(x)
-    return spectral._richardson_even_limit(lambda h: float(f((h * v)[None, :])[0]))
+@pytest.mark.parametrize("name,m", LIMIT_CASES)
+def test_mu_and_phi_hat_reach_their_limit_near_origin(name, m, any_profile, rng):
+    # The sin-form quotients are exact down to |eta| = 1e-150; below that the
+    # limit 1 is returned instead of an underflowed quotient.
+    p = any_profile(name, m)
+    radii = np.repeat(NEAR_ORIGIN_RADII, 4)
+    pts = radii[:, None] * _directions(len(radii), p.d, rng)
+    assert np.max(np.abs(mu(p, pts) - 1.0)) <= 4e-15
+    assert np.max(np.abs(phi_hat(p, pts) - 1.0)) <= 4e-15
+    # Exact lattice points keep their exact values.
+    lattice = np.vstack([np.zeros(p.d), 2 * math.pi * np.ones(p.d)])
+    assert mu(p, lattice).tolist() == [1.0, 1.0]
+    assert phi_hat(p, lattice).tolist() == [1.0, 0.0]
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "uni"])
-def test_batched_richardson_matches_per_point_limit(name, profiles, rng):
+@pytest.mark.parametrize("name,m", LIMIT_CASES)
+def test_phi_hat_within_tol_of_deep_reference(name, m, any_profile):
+    p = any_profile(name, m)
+    rng = np.random.default_rng(2024)
+    pts = rng.uniform(-4 * math.pi, 4 * math.pi, size=(2000, p.d))
+    # Near-lattice points, the first ten next to the origin.
+    k = rng.integers(-3, 4, size=(60, p.d)).astype(float)
+    k[:10] = 0.0
+    r = 10.0 ** rng.uniform(-9, -3, size=60)
+    near = 2 * math.pi * k + r[:, None] * _directions(60, p.d, rng)
+    x = np.vstack([pts, near])
+    got = phi_hat(p, x)
+    ref = phi_hat(p, x, tol=1e-14)
+    assert np.all(np.abs(got - ref) <= p.truncation_tol * np.abs(ref))
+
+
+@pytest.mark.parametrize("fn", [mu, M_eval, phi_hat], ids=["mu", "M_eval", "phi_hat"])
+@pytest.mark.parametrize("name", ["A3", "uni"])
+def test_non_finite_rows_give_nan_and_leave_the_rest(fn, name, profiles, rng):
     p = profiles(name)
-    pts = _near_lattice_points(p.d, rng)
-    eta, _ = spectral._reduce_torus(pts)
-    expected = [_scalar_limit(lambda y: spectral._mu_direct(p, y), e) for e in eta]
-    assert np.max(np.abs(mu(p, pts) - expected)) < 1e-13
-    # phi_hat extrapolates G/P at the origin; M comes from the same batch.
-    near0 = pts[:10] - 2 * math.pi * np.round(pts[:10] / (2 * math.pi))
-    def g_over_p(y):
-        return trigpoly.eval_G_stable(p.Q2, y) / matana.eval_P(p.Q2, y)
-
-    ratio = [_scalar_limit(g_over_p, x) for x in near0]
-    expected = (np.array(ratio) * M_eval(p, near0)) ** p.m
-    assert np.max(np.abs(phi_hat(p, near0) - expected)) < 1e-13
-    # The limit is never taken at an exact lattice point: mu is exactly 1 there.
-    exact = np.vstack([np.zeros(p.d), 2 * math.pi * np.ones(p.d), pts[:3]])
-    assert np.all(mu(p, exact)[:2] == 1.0)
+    clean = rng.uniform(-4 * math.pi, 4 * math.pi, size=(40, p.d))
+    bad = np.full((2, p.d), 1.0)
+    bad[0, -1] = np.nan
+    bad[1, 0] = np.inf
+    mixed = np.vstack([clean[:17], bad[:1], clean[17:30], bad[1:], clean[30:]])
+    got = fn(p, mixed)
+    assert np.isnan(got[17]) and np.isnan(got[31])
+    assert np.array_equal(np.delete(got, [17, 31]), fn(p, clean))
+    assert math.isnan(fn(p, bad[1]))
 
 
 @pytest.mark.parametrize("block,grid_n", [(spectral.GRID_BLOCK, 257), (1000, 64)])

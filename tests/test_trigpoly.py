@@ -148,6 +148,14 @@ def test_shift_univariate_G_by_half():
     assert helpers.coeff_dict_dist(s.coeffs, {(0,): 2.0, (1,): 1.0, (-1,): 1.0}) < 1e-15
 
 
+@pytest.mark.parametrize("s", [(Fraction(1, 2),), (Fraction(1, 2), 0, 0)], ids=["short", "long"])
+@pytest.mark.parametrize("method", ["eval_at_two_pi", "shift_argument"])
+def test_rational_argument_of_wrong_dimension_raises(method, s):
+    p = TrigPoly(2, {(1, 1): 0.5, (2, 0): -1.0})
+    with pytest.raises(ValueError, match="wrong dimension"):
+        getattr(p, method)(s)
+
+
 def test_double_half_shift_recovers():
     p = TrigPoly(2, {(1, 1): 0.5 + 0.25j, (2, 0): -1.0})
     t = (Fraction(1, 2), Fraction(1, 2))
