@@ -18,11 +18,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, NonSimpleEigenvalue, NumericalBreakdown
+from .errors import ConfigError, NoConvergence, NonSimpleEigenvalue, NumericalBreakdown
 from .matana import DilationMatrix
 from .trigpoly import RefinementCoefficients, TrigPoly, refinement_coefficients
 
 _EIG_TOL = 1e-6
+
+# Largest dense grid (index bounding box) a level may take.  A grid keeps 9
+# bytes a cell (float64 values, bool mask); building it also holds the int64
+# indices, the float64 points and bool temporaries, 48 bytes a cell at the
+# peak for d = 2 and 72 for d = 3 (tracemalloc), so 2^24 cells peak near
+# 0.8 GB and 1.2 GB.  The benchmark's largest grid, A3 at m = 2 and J = 11,
+# has 805 809 cells; C3 at m = 2 and J = 3 has 33 825.
+MAX_GRID_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -145,16 +153,28 @@ class LatticeGrid:
         return float(vals @ weights), not on_lattice
 
 
+def grid_bounds(A: DilationMatrix, box: SupportBox, J: int):
+    """Index bounding box of the level-J grid over `box`: (lo_idx, shape).
+
+    Counted in exact integers, so a deep level cannot overflow int64 into a
+    small count; raises ConfigError past MAX_GRID_CELLS.
+    """
+    AJ = np.linalg.matrix_power(A.entries.astype(object), J)
+    corners = np.stack(np.meshgrid(*zip(box.lo, box.hi), indexing="ij"), axis=-1).reshape(-1, A.d)
+    idx_corners = corners.astype(object) @ AJ.T
+    lo = idx_corners.min(axis=0)
+    shape = tuple(int(h - l + 1) for l, h in zip(lo, idx_corners.max(axis=0)))
+    cells = math.prod(shape)
+    if cells > MAX_GRID_CELLS:
+        raise ConfigError(f"level J={J} needs a grid of {cells} cells; "
+                          f"at most {MAX_GRID_CELLS} are allowed")
+    return np.array(lo, dtype=np.int64), shape
+
+
 def _empty_grid(A: DilationMatrix, box: SupportBox, J: int) -> LatticeGrid:
-    d = A.d
-    AJ = A.power(J)
-    corners = np.stack(np.meshgrid(*zip(box.lo, box.hi), indexing="ij"), axis=-1).reshape(-1, d)
-    idx_corners = corners @ AJ.T
-    lo_idx = idx_corners.min(axis=0).astype(np.int64)
-    hi_idx = idx_corners.max(axis=0).astype(np.int64)
-    shape = tuple(int(h - l + 1) for l, h in zip(lo_idx, hi_idx))
-    grids = np.indices(shape).reshape(d, -1).T + lo_idx
-    x = grids @ np.linalg.inv(AJ.astype(float)).T
+    lo_idx, shape = grid_bounds(A, box, J)
+    grids = np.indices(shape).reshape(A.d, -1).T + lo_idx
+    x = grids @ np.linalg.inv(A.power(J).astype(float)).T
     inside = np.all((x >= box.lo - 1e-9) & (x <= box.hi + 1e-9), axis=1).reshape(shape)
     return LatticeGrid(J, A, box, lo_idx, np.zeros(shape), inside)
 
@@ -288,7 +308,9 @@ def sample_phi_m(A: DilationMatrix, m0: TrigPoly, m: int, J: int) -> LatticeGrid
     if m < 1 or J < 0:
         raise ValueError("need m >= 1 and J >= 0")
     rc = refinement_coefficients(m0 ** m, A.q)
-    grid = integer_values(A, rc)
+    box = support_box(A, rc)
+    grid_bounds(A, box, J)  # reject an oversize level before building any
+    grid = integer_values(A, rc, box)
     for _ in range(J):
         grid = refine(A, rc, grid)
     return grid

@@ -221,6 +221,9 @@ def main(argv=None) -> int:
     except MaskPoleAtDigit as exc:
         print(f"mask pole: {exc}", file=sys.stderr)
         return EXIT_MASK_POLE
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (SingularMatrix, NotExpanding, ValueError) as exc:
         print(f"invalid matrix: {exc}", file=sys.stderr)
         return EXIT_CONFIG

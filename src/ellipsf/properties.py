@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cascade, operators, spectral
 from .cascade import LatticeGrid
-from .errors import DegreeTooHigh, NonSimpleEigenvalue
+from .errors import ConfigError, DegreeTooHigh, NonSimpleEigenvalue
 from .spectral import SpectralProfile
 from .trigpoly import TrigPoly, refinement_coefficients
 
@@ -504,10 +504,14 @@ def run_all(profile: SpectralProfile, config: PropertyConfig | None = None) -> P
     grid_err: Exception | None = None
     try:
         rc = refinement_coefficients(profile.m0 ** profile.m, profile.q)
-        grid0 = cascade.integer_values(profile.A, rc)
+        box = cascade.support_box(profile.A, rc)
+        cascade.grid_bounds(profile.A, box, cfg.J)
+        grid0 = cascade.integer_values(profile.A, rc, box)
         grid = grid0
         for _ in range(cfg.J):
             grid = cascade.refine(profile.A, rc, grid)
+    except ConfigError:
+        raise  # an oversize level is a bad request, not a property verdict
     except Exception as exc:
         grid_err = exc
         grid0 = None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ellipsf import cascade, spectral, trigpoly
-from ellipsf.errors import NonSimpleEigenvalue
+from ellipsf.errors import ConfigError, NonSimpleEigenvalue
 from ellipsf.trigpoly import RefinementCoefficients, TrigPoly, refinement_coefficients
 
 import helpers
@@ -241,3 +241,46 @@ def test_query_quincunx_lattice_exact(grids):
     g = grids("A1", 1, 4)
     val, approx = g.query([0.0, 0.0])
     assert not approx and val == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("matrix, m, J, cells", [
+    ([[1, -2], [1, 0]], 2, 11, 805_809),             # largest benchmark grid
+    ([[0, 0, 2], [1, 0, 0], [0, 1, 0]], 2, 3, 33_825),
+])
+def test_grid_bounds_count_cells_within_budget(matrix, m, J, cells):
+    p = spectral.make_profile(matrix, m=m)
+    box = cascade.support_box(p.A, _rc(p, m))
+    lo, shape = cascade.grid_bounds(p.A, box, J)
+    assert math.prod(shape) == cells <= cascade.MAX_GRID_CELLS
+    assert lo.dtype == np.int64
+
+
+def test_grid_bounds_match_built_grid(profiles):
+    p = profiles("A3")
+    box = cascade.support_box(p.A, _rc(p))
+    grid = cascade.sample_phi_m(p.A, p.m0, 1, 3)
+    lo, shape = cascade.grid_bounds(p.A, box, 3)
+    assert np.array_equal(lo, grid.offset) and shape == grid.data.shape
+
+
+@pytest.mark.parametrize("J", [40, 200])
+def test_oversize_level_is_rejected_with_both_counts(profiles, J):
+    p = profiles("A4")
+    box = cascade.support_box(p.A, _rc(p))
+    with pytest.raises(ConfigError) as err:
+        cascade.grid_bounds(p.A, box, J)
+    # Exact integers: at J = 200 an int64 count would have wrapped around.
+    requested = math.prod(int(w) * 2 ** J + 1 for w in box.widths)
+    assert f"{requested} cells" in str(err.value)
+    assert f"at most {cascade.MAX_GRID_CELLS}" in str(err.value)
+
+
+def test_sample_phi_m_rejects_before_building_a_level(profiles, monkeypatch):
+    p = profiles("A4")
+
+    def no_cascade(*args, **kwargs):
+        raise AssertionError("integer values built for an oversize level")
+    monkeypatch.setattr(cascade, "integer_values", no_cascade)
+    monkeypatch.setattr(cascade, "MAX_GRID_CELLS", 1000)
+    with pytest.raises(ConfigError):
+        cascade.sample_phi_m(p.A, p.m0, 1, 3)

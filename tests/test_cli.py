@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,22 @@ def test_eval_quincunx_grid_runs(capsys):
     assert len(rows) > 500
     values = np.array([float(r.split(",")[2]) for r in rows[1:]])
     assert abs(values.sum() * 2.0 ** -5 - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_oversize_level_is_a_config_error(capsys, command):
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--matrix", "2,0;0,2", "--J", "40"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: level J=40 needs a grid of ")
+    # A grid at the cell budget alone holds 9 * 2^24 bytes (151 MB); verify's
+    # Riesz grid, which runs first, takes about 21 MB.
+    assert peak < 64 * 2 ** 20
 
 
 def test_verify_univariate_passes(capsys):
