@@ -1,7 +1,11 @@
 """Cascade evaluation of scaling functions on refined lattices A^{-J} Z^d.
 
-Starting values on the integer lattice come from the eigenvalue-1 eigenvector
-of the transition matrix T[j, k] = c_{A j - k}; each refinement level then
+Starting values on the integer lattice are the eigenvalue-1 eigenvector of the
+transition matrix T[j, k] = c_{A j - k}, found with one linear solve of the
+bordered system [[T - I, 1], [1^T, 0]] [v; s] = [0; 1]: the sum rules make
+1^T a left eigenvector of T for eigenvalue 1, so the solution is that
+eigenvector normalized to sum 1, and the bordered matrix is singular exactly
+when eigenvalue 1 is not algebraically simple.  Each refinement level then
 reads the two-scale relation phi(x) = sum_k c_k phi(A x - k) off the coarser
 level with exact index arithmetic (x = A^{-J} j keeps every lookup on the
 lattice, so the cascade itself never interpolates).
@@ -22,7 +26,18 @@ from .errors import ConfigError, NoConvergence, NonSimpleEigenvalue, NumericalBr
 from .matana import DilationMatrix
 from .trigpoly import RefinementCoefficients, TrigPoly, refinement_coefficients
 
+# Eigenvalue 1 counts as simple while the bordered matrix M stays 1/_EIG_TOL
+# away from singular: a lower bound on the 2-norm of M^{-1}, from fixed
+# right-hand sides cos(f i) at these frequencies f, must not pass
+# MAX_INVERSE_NORM.  The bound is at most 40 on the worked fixtures and on C3
+# up to m = 2, where the norm itself is at most 458.  (Cosines, not random
+# vectors: numpy.random costs a lazy import of several MB.)
 _EIG_TOL = 1e-6
+MAX_INVERSE_NORM = 1.0 / _EIG_TOL
+_PROBE_FREQUENCIES = (1.0, math.sqrt(2.0), math.sqrt(3.0))
+# v is an eigenvector for eigenvalue 1 when |s| and |T v - v| stay below this
+# times max |v|; on the fixtures and on C3 up to m = 4 they stay below 1e-14.
+_EIGEN_RESIDUAL_TOL = 1e-10
 
 # Largest dense grid (index bounding box) a level may take.  A grid keeps 9
 # bytes a cell (float64 values, bool mask); building it also holds the int64
@@ -195,7 +210,9 @@ def transition_matrix(A: DilationMatrix, rc: RefinementCoefficients, box: Suppor
     point (Cavaretta, Dahmen and Micchelli, Stationary Subdivision, 1991).
 
     Returns (T, pts): the dense matrix over the kept points and those points
-    as an (n, d) int64 array in lexicographic order.
+    as an (n, d) int64 array in lexicographic order.  T is the leading block
+    of a zero (n + 1) x (n + 1) array, T.base, which integer_values borders in
+    place, so no second copy of T is made.
     """
     shape = tuple(int(w) + 1 for w in box.widths)
     box_pts = np.indices(shape).reshape(A.d, -1).T + box.lo
@@ -221,40 +238,59 @@ def transition_matrix(A: DilationMatrix, rc: RefinementCoefficients, box: Suppor
         alive = nonzero_row
     keep = np.nonzero(alive)[0]
     new_index = np.cumsum(alive) - 1
-    T = np.zeros((len(keep), len(keep)))
+    n = len(keep)
+    T = np.zeros((n + 1, n + 1))[:n, :n]
     T[new_index[rows], new_index[cols]] = vals
     return T, box_pts[keep]
 
 
 def integer_values(A: DilationMatrix, rc: RefinementCoefficients,
                    box: SupportBox | None = None) -> LatticeGrid:
-    """Values of phi on Z^d via the eigenvalue-1 eigenvector of T.
+    """Values of phi on Z^d: the eigenvalue-1 eigenvector of T, summing to 1.
 
-    Normalized so sum_k phi(k) = 1, matching phi_hat(0) = 1.  Raises
-    NonSimpleEigenvalue when eigenvalue 1 is not simple; that happens for
-    masks whose solution is only a distribution, and must be reported
-    rather than silently resolved.  Box points pruned from T hold 0.
+    Solves the bordered system [[T - I, 1], [1^T, 0]] [v; s] = [0; 1] of the
+    module docstring, so sum_k phi(k) = 1, matching phi_hat(0) = 1.  Box
+    points pruned from T hold 0.
+
+    Raises NonSimpleEigenvalue when the bordered matrix is singular, or near
+    singular: solving fixed extra right-hand sides in the same call bounds
+    the 2-norm of its inverse from below, and a bound past MAX_INVERSE_NORM
+    counts.  That happens when eigenvalue 1 is not simple, for masks whose
+    solution is only a distribution, and must be reported rather than
+    silently resolved.  Raises NumericalBreakdown when the solution is not an
+    eigenvector (|s| or |T v - v| above _EIGEN_RESIDUAL_TOL max |v|): then
+    1^T is no left eigenvector and T has no eigenvalue 1.
     """
     if box is None:
         box = support_box(A, rc)
     T, pts = transition_matrix(A, rc, box)
-    lam, vecs = np.linalg.eig(T)
-    close = np.nonzero(np.abs(lam - 1.0) < _EIG_TOL)[0]
-    if len(close) == 0:
-        raise NumericalBreakdown("transition matrix has no eigenvalue 1")
-    if len(close) > 1:
-        gaps = ", ".join(f"{abs(lam[i] - 1.0):.2e}" for i in close)
-        raise NonSimpleEigenvalue(f"eigenvalue 1 has multiplicity {len(close)} (|lam-1|: {gaps})")
-    v = vecs[:, close[0]]
-    pivot = v[np.argmax(np.abs(v))]
-    v = v / pivot
-    if np.max(np.abs(v.imag)) > 1e-9:
-        raise NumericalBreakdown("eigenvector for eigenvalue 1 is not real")
-    v = v.real
-    s = v.sum()
-    if abs(s) < 1e-10 * np.abs(v).sum():
-        raise NumericalBreakdown("eigenvector cannot be normalized to partition unity")
-    v = v / s
+    n = len(pts)
+    if n == 0:
+        raise NumericalBreakdown("transition matrix is nilpotent: no eigenvalue 1")
+    M = T.base
+    M[:n, n] = 1.0
+    M[n, :n] = 1.0
+    T[np.arange(n), np.arange(n)] -= 1.0  # T now holds T - I
+    rhs = np.zeros((n + 1, 1 + len(_PROBE_FREQUENCIES)))
+    rhs[n, 0] = 1.0
+    rhs[:, 1:] = np.cos(np.outer(np.arange(n + 1), _PROBE_FREQUENCIES))
+    try:
+        X = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NonSimpleEigenvalue("bordered transition matrix is singular: "
+                                  "eigenvalue 1 is not simple") from exc
+    inv_norm = float(np.max(np.linalg.norm(X[:, 1:], axis=0)
+                            / np.linalg.norm(rhs[:, 1:], axis=0)))
+    if not inv_norm <= MAX_INVERSE_NORM:
+        raise NonSimpleEigenvalue(
+            f"bordered transition matrix is near singular (inverse norm >= "
+            f"{inv_norm:.2e}, above {MAX_INVERSE_NORM:.0e}): eigenvalue 1 is not simple")
+    v, s = X[:n, 0], float(X[n, 0])
+    residual = max(abs(s), float(np.max(np.abs(T @ v))))
+    if not residual <= _EIGEN_RESIDUAL_TOL * np.max(np.abs(v)):
+        raise NumericalBreakdown(
+            f"transition matrix has no eigenvalue 1: bordered solution has "
+            f"|s|, |Tv - v| up to {residual:.2e}")
     grid = _empty_grid(A, box, 0)
     grid.data[tuple((pts - grid.offset).T)] = v
     return grid
@@ -303,13 +339,23 @@ def coarsen(grid: LatticeGrid) -> LatticeGrid:
     return out
 
 
+def check_level(A: DilationMatrix, m0: TrigPoly, m: int, J: int):
+    """(rc, box) of phi^m, once level J is known to fit MAX_GRID_CELLS.
+
+    Raises ConfigError for an oversize level, so a caller can reject the
+    request before building any level or writing any output.
+    """
+    rc = refinement_coefficients(m0 ** m, A.q)
+    box = support_box(A, rc)
+    grid_bounds(A, box, J)
+    return rc, box
+
+
 def sample_phi_m(A: DilationMatrix, m0: TrigPoly, m: int, J: int) -> LatticeGrid:
     """Cascade phi^m to level J from the order-m mask (m0)^m."""
     if m < 1 or J < 0:
         raise ValueError("need m >= 1 and J >= 0")
-    rc = refinement_coefficients(m0 ** m, A.q)
-    box = support_box(A, rc)
-    grid_bounds(A, box, J)  # reject an oversize level before building any
+    rc, box = check_level(A, m0, m, J)
     grid = integer_values(A, rc, box)
     for _ in range(J):
         grid = refine(A, rc, grid)

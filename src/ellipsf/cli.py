@@ -118,8 +118,8 @@ def cmd_analyze(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
-def cmd_mask(cfg: JobConfig) -> int:
-    profile = _profile(cfg)
+def cmd_mask(cfg: JobConfig, profile: spectral.SpectralProfile | None = None) -> int:
+    profile = profile or _profile(cfg)
     mask = profile.m0 ** cfg.m
     doc = {
         "matrix": cfg.matrix,
@@ -170,7 +170,15 @@ def cmd_verify(cfg: JobConfig) -> int:
 
 
 def cmd_report(cfg: JobConfig) -> int:
-    codes = [cmd_analyze(cfg), cmd_mask(cfg), cmd_spectrum(cfg), cmd_verify(cfg)]
+    # Reject an oversize level before any file is written.  A matrix with no
+    # profile is left to cmd_analyze and cmd_mask, which report it in order.
+    try:
+        profile = _profile(cfg)
+    except (NotIsotropic, MaskPoleAtDigit):
+        profile = None
+    else:
+        cascade.check_level(profile.A, profile.m0, cfg.m, cfg.J)
+    codes = [cmd_analyze(cfg), cmd_mask(cfg, profile), cmd_spectrum(cfg), cmd_verify(cfg)]
     return max(codes)
 
 

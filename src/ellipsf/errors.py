@@ -26,7 +26,8 @@ class NonSimpleEigenvalue(RuntimeError):
 
 
 class NumericalBreakdown(RuntimeError):
-    """A numerical step failed a sanity check (PD square root, eigensolve)."""
+    """A numerical step failed a sanity check (PD square root, or a cascade
+    start whose bordered solve is no eigenvector for eigenvalue 1)."""
 
 
 class NoConvergence(RuntimeError):

@@ -19,7 +19,7 @@ from . import cascade, operators, spectral
 from .cascade import LatticeGrid
 from .errors import ConfigError, DegreeTooHigh, NonSimpleEigenvalue
 from .spectral import SpectralProfile
-from .trigpoly import TrigPoly, refinement_coefficients
+from .trigpoly import TrigPoly
 
 
 @dataclass(frozen=True)
@@ -470,6 +470,15 @@ def run_all(profile: SpectralProfile, config: PropertyConfig | None = None) -> P
     """Execute every check against the profile; failures are report entries."""
     cfg = config or PropertyConfig()
     report = PropertyReport([[int(v) for v in row] for row in profile.A.entries], profile.m)
+    # An oversize level is a bad request, not a property verdict: it raises
+    # ConfigError here, before any check runs.
+    grid = grid0 = grid_err = None
+    try:
+        rc, box = cascade.check_level(profile.A, profile.m0, profile.m, cfg.J)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        grid_err = exc
 
     def record(name, fn, tolerance, predicate, skip_reason=None, note=None):
         t0 = time.perf_counter()
@@ -478,6 +487,8 @@ def run_all(profile: SpectralProfile, config: PropertyConfig | None = None) -> P
             return
         try:
             residual = fn()
+        except ConfigError:
+            raise  # e.g. a truncation depth past spectral.MAX_DEPTH
         except NonSimpleEigenvalue as exc:
             report.checks.append(CheckResult(
                 name, "skip", None, tolerance, time.perf_counter() - t0,
@@ -500,21 +511,14 @@ def run_all(profile: SpectralProfile, config: PropertyConfig | None = None) -> P
         return profile.B_estimate
     record("riesz_basis", riesz, None, lambda _: bool(profile.riesz_ok))
 
-    grid = None
-    grid_err: Exception | None = None
-    try:
-        rc = refinement_coefficients(profile.m0 ** profile.m, profile.q)
-        box = cascade.support_box(profile.A, rc)
-        cascade.grid_bounds(profile.A, box, cfg.J)
-        grid0 = cascade.integer_values(profile.A, rc, box)
-        grid = grid0
-        for _ in range(cfg.J):
-            grid = cascade.refine(profile.A, rc, grid)
-    except ConfigError:
-        raise  # an oversize level is a bad request, not a property verdict
-    except Exception as exc:
-        grid_err = exc
-        grid0 = None
+    if grid_err is None:
+        try:
+            grid0 = grid = cascade.integer_values(profile.A, rc, box)
+            for _ in range(cfg.J):
+                grid = cascade.refine(profile.A, rc, grid)
+        except Exception as exc:
+            grid_err = exc
+            grid = grid0 = None
 
     skip = None if grid is not None else f"{type(grid_err).__name__}: {grid_err}"
     record("mass", lambda: abs(grid.mass() - 1.0), cfg.tol_mass,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import digits as digits_mod
 from . import matana, trigpoly
-from .errors import NotIsotropic
+from .errors import ConfigError, NotIsotropic
 from .matana import DilationMatrix, QuadraticForm
 from .trigpoly import TrigPoly
 
@@ -36,6 +36,9 @@ TWO_PI = 2.0 * math.pi
 LIMIT_RADIUS = 1e-150
 DEFAULT_TOL = 1e-9
 GRID_BLOCK = 1 << 16  # estimate_B evaluates its grid this many points at a time
+# Deepest truncation of the infinite products; a tolerance or point that needs
+# more levels is rejected rather than served at a depth that misses it.
+MAX_DEPTH = 400
 
 
 @dataclass
@@ -167,7 +170,10 @@ def mu_quadratic_constant(profile: SpectralProfile) -> float:
 
 
 def _truncation_depth(profile: SpectralProfile, x: np.ndarray, tol: float | None) -> int:
-    """Smallest J with the geometric tail bound C q^{-2J/d} P < tol for every row of x."""
+    """Smallest J with the geometric tail bound C q^{-2J/d} P < tol for every row of x.
+
+    At least 3; raises ConfigError when it exceeds MAX_DEPTH.
+    """
     if tol is None:
         tol = profile.truncation_tol
     if tol <= 0:
@@ -179,7 +185,10 @@ def _truncation_depth(profile: SpectralProfile, x: np.ndarray, tol: float | None
     # Also force the first tail point inside the unit P-ellipsoid.
     target = max(pmax / budget, pmax, 1.0)
     J = int(math.ceil(math.log(target) / math.log(1.0 / ratio))) + 1
-    return min(max(J, 3), 400)
+    if J > MAX_DEPTH:
+        raise ConfigError(f"truncation depth {J} for tol {tol:.3g} exceeds "
+                          f"MAX_DEPTH = {MAX_DEPTH}")
+    return max(J, 3)
 
 
 @_pointwise

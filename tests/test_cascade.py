@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ellipsf import cascade, spectral, trigpoly
-from ellipsf.errors import ConfigError, NonSimpleEigenvalue
+from ellipsf.errors import ConfigError, NonSimpleEigenvalue, NumericalBreakdown
 from ellipsf.trigpoly import RefinementCoefficients, TrigPoly, refinement_coefficients
 
 import helpers
@@ -70,6 +71,27 @@ def test_integer_values_nonsimple_eigenvalue():
         cascade.integer_values(A, rc, cascade.SupportBox(np.array([0]), np.array([1])))
 
 
+def test_integer_values_nearly_double_eigenvalue():
+    # T = diag(1, 1 - 1e-8): the bordered matrix is invertible, but its inverse
+    # has norm about 1e8, so eigenvalue 1 is reported as not simple.
+    A = spectral.make_profile([[2]]).A
+    rc = RefinementCoefficients({(0,): 1.0, (1,): 1.0 - 1e-8}, 2, 1)
+    with pytest.raises(NonSimpleEigenvalue) as err:
+        cascade.integer_values(A, rc, cascade.SupportBox(np.array([0]), np.array([1])))
+    assert not isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("c, hi", [
+    ({(0,): 0.5, (1,): 0.5}, 1),  # T = diag(1/2, 1/2): 1^T is no left eigenvector
+    ({(1,): 1.0}, 0),             # T = [0]: pruned to nothing
+])
+def test_integer_values_without_eigenvalue_one(c, hi):
+    A = spectral.make_profile([[2]]).A
+    rc = RefinementCoefficients(c, 2, 1)
+    with pytest.raises(NumericalBreakdown):
+        cascade.integer_values(A, rc, cascade.SupportBox(np.array([0]), np.array([hi])))
+
+
 def _literal_transition(A, rc, box):
     """T[j, k] = c_{A j - k} over every box point, pair by pair."""
     pts = [tuple(int(v) for v in p)
@@ -83,7 +105,29 @@ def _literal_transition(A, rc, box):
     return T, pts
 
 
+def _exact_bordered_solve(T):
+    """v with [[T - I, 1], [1^T, 0]] [v; s] = [0; 1], in exact rationals."""
+    n = len(T)
+    M = [[Fraction(float(x)) - (i == j) for j, x in enumerate(row)] + [Fraction(1)]
+         for i, row in enumerate(T)]
+    M.append([Fraction(1)] * n + [Fraction(0)])
+    b = [Fraction(0)] * n + [Fraction(1)]
+    for c in range(n + 1):
+        p = next(r for r in range(c, n + 1) if M[r][c] != 0)
+        M[c], M[p], b[c], b[p] = M[p], M[c], b[p], b[c]
+        for r in range(c + 1, n + 1):
+            f = M[r][c] / M[c][c]
+            if f:
+                M[r] = [a - f * e for a, e in zip(M[r], M[c])]
+                b[r] -= f * b[c]
+    x = [Fraction(0)] * (n + 1)
+    for r in range(n, -1, -1):
+        x[r] = (b[r] - sum(M[r][k] * x[k] for k in range(r + 1, n + 1) if M[r][k])) / M[r][r]
+    return x[:n]
+
+
 M3 = [[0, 0, 2], [1, 0, 0], [0, 1, 0]]  # companion matrix of x^3 - 2
+EXACT_MAX_N = 100  # larger kept sets take seconds in exact arithmetic
 
 
 @pytest.mark.parametrize("name,m", [(n, m) for n in ("A1", "A2", "A3", "A4", "uni")
@@ -108,7 +152,28 @@ def test_pruned_transition_matches_literal_definition(name, m, profiles):
 
     g = cascade.integer_values(p.A, rc, box)
     ref = np.array([g.value_at_index(j) for j in box_pts])
-    assert np.max(np.abs(ref - v)) < 1e-12
+    assert np.all(ref[~kept] == 0.0)
+    if len(T) <= EXACT_MAX_N:
+        exact = _exact_bordered_solve(T)
+        assert max(abs(Fraction(float(a)) - b) for a, b in zip(ref[kept], exact)) < 1e-13
+    else:
+        # An eig reference is itself off by up to 1e-12 where the eigen-gap is
+        # small, so the values are held to the eigen-equation of the full T.
+        assert np.max(np.abs(T_full @ ref - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert abs(math.fsum(ref) - 1.0) <= 1e-14
+
+
+def test_integer_values_match_eig_on_c3_order_two():
+    p = spectral.make_profile(M3)
+    rc = _rc(p, 2)
+    box = cascade.support_box(p.A, rc)
+    T, pts = cascade.transition_matrix(p.A, rc, box)
+    assert len(T) == 1041
+    lam, vecs = np.linalg.eig(T)
+    v = vecs[:, np.argmin(np.abs(lam - 1.0))].real
+    v = v / v.sum()
+    g = cascade.integer_values(p.A, rc, box)
+    assert np.max(np.abs(g.lookup(pts) - v)) < 1e-12
 
 
 def test_refine_hat_midpoint(profiles):

@@ -185,9 +185,31 @@ def test_oversize_level_is_a_config_error(capsys, command):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: level J=40 needs a grid of ")
-    # A grid at the cell budget alone holds 9 * 2^24 bytes (151 MB); verify's
-    # Riesz grid, which runs first, takes about 21 MB.
+    # A grid at the cell budget alone holds 9 * 2^24 bytes (151 MB).
     assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "report"])
+def test_oversize_level_is_rejected_before_any_work(capsys, tmp_path, command):
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--matrix", "2,0;0,2", "--J", "40", "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: level J=40 needs a grid of ")
+    assert not out.exists() or not any(out.iterdir())
+    # No grid is built, not even verify's 21 MB Riesz grid.
+    assert peak < 2 ** 20
+
+
+def test_truncation_depth_past_the_cap_is_a_config_error(capsys):
+    # At the cap the non_decay check would fail for want of depth, not of decay.
+    code = cli.main(["verify", "--matrix", "1,-1;1,1", "--J", "3", "--tol", "1e-300"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: truncation depth ")
 
 
 def test_verify_univariate_passes(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ellipsf import matana, spectral
-from ellipsf.errors import NotIsotropic
+from ellipsf.errors import ConfigError, NotIsotropic
 from ellipsf.spectral import M_eval, estimate_B, mu, phi_hat, riesz_verdict
 
 import helpers
@@ -89,6 +89,18 @@ def test_M_truncation_convergence(name, profiles, rng):
 def test_M_rejects_bad_tol(profiles):
     with pytest.raises(ValueError):
         M_eval(profiles("A1"), np.zeros(2), tol=0.0)
+
+
+def test_truncation_past_max_depth_is_rejected(profiles):
+    p = profiles("A1")
+    x = np.array([[1.0, 0.5]])
+    assert spectral._truncation_depth(p, x, 1e-100) <= spectral.MAX_DEPTH
+    # q = 2, d = 2: each level gains a factor 2, so 1e-300 needs about 1000.
+    with pytest.raises(ConfigError, match=r"truncation depth 9\d\d for tol 1e-300"):
+        spectral._truncation_depth(p, x, 1e-300)
+    for f in (M_eval, phi_hat):
+        with pytest.raises(ConfigError):
+            f(p, x, tol=1e-300)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4"])
