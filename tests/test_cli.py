@@ -174,23 +174,8 @@ def test_eval_quincunx_grid_runs(capsys):
     assert abs(values.sum() * 2.0 ** -5 - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("command", ["eval", "verify"])
-def test_oversize_level_is_a_config_error(capsys, command):
-    tracemalloc.start()
-    try:
-        code = cli.main([command, "--matrix", "2,0;0,2", "--J", "40"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("config error: level J=40 needs a grid of ")
-    # A grid at the cell budget alone holds 9 * 2^24 bytes (151 MB).
-    assert peak < 64 * 2 ** 20
-
-
 @pytest.mark.parametrize("command", ["eval", "verify", "report"])
-def test_oversize_level_is_rejected_before_any_work(capsys, tmp_path, command):
+def test_oversize_level_is_a_config_error(capsys, tmp_path, command):
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -198,10 +183,14 @@ def test_oversize_level_is_rejected_before_any_work(capsys, tmp_path, command):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    err = capsys.readouterr().err
     assert code == 2
-    assert capsys.readouterr().err.startswith("config error: level J=40 needs a grid of ")
+    assert err.startswith("config error: level J=40 needs a grid of ")
     assert not out.exists() or not any(out.iterdir())
-    # No grid is built, not even verify's 21 MB Riesz grid.
+    # A grid at the cell budget alone holds 9 * 2^24 bytes (151 MB).
+    assert peak < 64 * 2 ** 20
+    # The level is checked before any grid is built, verify's 21 MB Riesz
+    # grid included.
     assert peak < 2 ** 20
 
 
