@@ -158,8 +158,8 @@ def cmd_eval(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: JobConfig) -> int:
-    profile = _profile(cfg)
+def cmd_verify(cfg: JobConfig, profile: spectral.SpectralProfile | None = None) -> int:
+    profile = profile or _profile(cfg)
     pc = properties.PropertyConfig(J=cfg.J, seed=cfg.seed)
     report = properties.run_all(profile, pc)
     # Runtimes are left out of the emitted report: outputs must be
@@ -170,15 +170,20 @@ def cmd_verify(cfg: JobConfig) -> int:
 
 
 def cmd_report(cfg: JobConfig) -> int:
-    # Reject an oversize level before any file is written.  A matrix with no
-    # profile is left to cmd_analyze and cmd_mask, which report it in order.
+    # Reject an oversize level, and a tol past spectral.MAX_DEPTH already at
+    # P = 1, before any file is written: verify's total_positivity grid on
+    # [-6 pi, 6 pi]^d reaches P > 1.  A matrix with no profile is left to
+    # cmd_analyze and cmd_mask, which report it in order.  The spectrum gets
+    # a profile of its own: its --grid-n B must not reach verify's Riesz check.
     try:
         profile = _profile(cfg)
     except (NotIsotropic, MaskPoleAtDigit):
         profile = None
     else:
         cascade.check_level(profile.A, profile.m0, cfg.m, cfg.J)
-    codes = [cmd_analyze(cfg), cmd_mask(cfg, profile), cmd_spectrum(cfg), cmd_verify(cfg)]
+        spectral.truncation_depth_at(profile, 1.0, cfg.tol)
+    codes = [cmd_analyze(cfg), cmd_mask(cfg, profile), cmd_spectrum(cfg),
+             cmd_verify(cfg, profile)]
     return max(codes)
 
 

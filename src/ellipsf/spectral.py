@@ -35,7 +35,10 @@ TWO_PI = 2.0 * math.pi
 # sin-form quotients underflow (at |eta| = 1e-160 they are off by 1e-3).
 LIMIT_RADIUS = 1e-150
 DEFAULT_TOL = 1e-9
-GRID_BLOCK = 1 << 16  # estimate_B evaluates its grid this many points at a time
+# Rows per block of estimate_B's tensor grid pass: each block gathers its rows
+# and their sines from the per-axis tables, and its (N, d) gathers and m0's
+# (N, terms) phase array stay near the CPU caches.
+GRID_BLOCK = 1 << 14
 # Deepest truncation of the infinite products; a tolerance or point that needs
 # more levels is rejected rather than served at a depth that misses it.
 MAX_DEPTH = 400
@@ -116,12 +119,16 @@ def _pointwise(f):
     return lifted
 
 
-def _mu_direct(profile: SpectralProfile, eta: np.ndarray) -> np.ndarray:
-    """q^{2/d} m0(B eta) G(B eta) / G(eta) for |eta| >= LIMIT_RADIUS."""
+def _mu_direct(profile: SpectralProfile, eta: np.ndarray,
+               G_eta: np.ndarray | None = None) -> np.ndarray:
+    """q^{2/d} m0(B eta) G(B eta) / G(eta) for |eta| >= LIMIT_RADIUS.
+
+    G_eta, when given, is G(eta) already computed (estimate_B's sine tables).
+    """
     B = profile.contraction
     Beta = eta @ B.T
     num = profile.m0.eval_real(Beta) * trigpoly.eval_G_stable(profile.Q2, Beta)
-    den = trigpoly.eval_G_stable(profile.Q2, eta)
+    den = trigpoly.eval_G_stable(profile.Q2, eta) if G_eta is None else G_eta
     return profile.q ** (2.0 / profile.d) * num / den
 
 
@@ -170,7 +177,13 @@ def mu_quadratic_constant(profile: SpectralProfile) -> float:
 
 
 def _truncation_depth(profile: SpectralProfile, x: np.ndarray, tol: float | None) -> int:
-    """Smallest J with the geometric tail bound C q^{-2J/d} P < tol for every row of x.
+    """truncation_depth_at for the largest P over the rows of x."""
+    pmax = max(float(np.max(matana.eval_P(profile.Q2, x))) if len(x) else 0.0, 1e-300)
+    return truncation_depth_at(profile, pmax, tol)
+
+
+def truncation_depth_at(profile: SpectralProfile, pmax: float, tol: float | None) -> int:
+    """Smallest J with the geometric tail bound C q^{-2J/d} P < tol for every P <= pmax.
 
     At least 3; raises ConfigError when it exceeds MAX_DEPTH.
     """
@@ -178,7 +191,6 @@ def _truncation_depth(profile: SpectralProfile, x: np.ndarray, tol: float | None
         tol = profile.truncation_tol
     if tol <= 0:
         raise ValueError("tol must be positive")
-    pmax = max(float(np.max(matana.eval_P(profile.Q2, x))) if len(x) else 0.0, 1e-300)
     C = mu_quadratic_constant(profile)
     ratio = profile.q ** (-2.0 / profile.d)
     budget = tol * (1.0 - ratio) / (2.0 * C)
@@ -256,24 +268,53 @@ def _golden_max(f, lo: float, hi: float, iters: int = 60):
     return (c, fc) if fc >= fd else (d, fd)
 
 
+def _mu_grid(profile: SpectralProfile, grid_n: int):
+    """Yield (rows, mu(rows)) over the grid_n^d grid on [-pi, pi)^d, in C order.
+
+    The grid is the tensor product of one linspace axis, on which sin(x/2)^2
+    and sin x are tabulated once.  It is walked in blocks of at most
+    GRID_BLOCK rows, each gathering its G(eta) from the tables, so memory
+    stays flat in grid_n.  The grid needs no torus reduction, holds only
+    finite rows, and its one row below LIMIT_RADIUS is the origin, which gets
+    mu's limit 1.  Each value is mu's up to the row-dependent rounding of the
+    BLAS products (about an ulp).
+    """
+    d = profile.d
+    axis_vals = np.linspace(-math.pi, math.pi, grid_n, endpoint=False)
+    s2_axis = np.sin(0.5 * axis_vals) ** 2
+    sx_axis = np.sin(axis_vals)
+    # An axis value is exactly 0 or at least an ulp of pi away from it, so
+    # only the all-zero row can fall below LIMIT_RADIUS.
+    zero = np.flatnonzero(axis_vals == 0.0)
+    origin = int(zero[0]) * sum(grid_n ** k for k in range(d)) if len(zero) else -1
+    n_points = grid_n ** d
+    for start in range(0, n_points, GRID_BLOCK):
+        stop = min(start + GRID_BLOCK, n_points)
+        idx = np.stack(np.unravel_index(np.arange(start, stop), (grid_n,) * d), axis=-1)
+        rows = axis_vals[idx]
+        G_eta = trigpoly.G_from_sines(profile.Q2, s2_axis[idx], sx_axis[idx])
+        at_origin = start <= origin < stop
+        if at_origin:
+            G_eta[origin - start] = 1.0  # G(0) = 0; the row is overwritten below
+        vals = _mu_direct(profile, rows, G_eta)
+        if at_origin:
+            vals[origin - start] = 1.0
+        yield rows, vals
+
+
 def estimate_B(profile: SpectralProfile, grid_n: int = 256, refine_iters: int = 12) -> float:
     """Estimate B = sup mu over the torus by dense grid plus local refinement.
 
-    mu is 2 pi periodic, so the grid covers [-pi, pi)^d, evaluated in blocks
-    of GRID_BLOCK points so memory stays flat in grid_n; refinement runs
-    coordinate-wise golden-section sweeps around the best grid cell.  The
+    mu is 2 pi periodic, so the grid covers [-pi, pi)^d; _mu_grid evaluates it
+    from per-axis sine tables in blocks of GRID_BLOCK rows.  Refinement runs
+    coordinate-wise golden-section sweeps around the first grid maximum.  The
     result is monotone in the observed values (never below the grid max).
     """
     if grid_n < 32:
         raise ValueError("grid_n must be >= 32")
     d = profile.d
-    axis_vals = np.linspace(-math.pi, math.pi, grid_n, endpoint=False)
-    n_points = grid_n ** d
     best = -math.inf
-    for start in range(0, n_points, GRID_BLOCK):
-        flat = np.arange(start, min(start + GRID_BLOCK, n_points))
-        block = axis_vals[np.stack(np.unravel_index(flat, (grid_n,) * d), axis=-1)]
-        vals = mu(profile, block)
+    for block, vals in _mu_grid(profile, grid_n):
         i = int(np.argmax(vals))
         if vals[i] > best:  # strict: the first maximum wins, as in np.argmax
             best, best_x = float(vals[i]), block[i].copy()

@@ -276,16 +276,23 @@ def eval_G_stable(qf: QuadraticForm, xi):
     x = np.asarray(xi, dtype=float)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    Q2 = qf.Q2
-    s2 = np.sin(0.5 * x) ** 2
-    out = 4.0 * (s2 @ np.diag(Q2).copy())
-    if qf.d > 1:
-        sx = np.sin(x)
-        for i in range(qf.d):
-            for j in range(i + 1, qf.d):
-                if Q2[i, j] != 0:
-                    out = out + 2.0 * Q2[i, j] * sx[:, i] * sx[:, j]
+    out = G_from_sines(qf, np.sin(0.5 * x) ** 2, np.sin(x) if qf.d > 1 else None)
     return float(out[0]) if single else out
+
+
+def G_from_sines(qf: QuadraticForm, s2: np.ndarray, sx: np.ndarray | None) -> np.ndarray:
+    """G on rows given by their sines: s2 = sin(xi/2)^2 and sx = sin(xi), both (N, d).
+
+    sx is read only for d > 1.  eval_G_stable and estimate_B's tabulated grid
+    share this arithmetic, so both give G to the same bits.
+    """
+    Q2 = qf.Q2
+    out = 4.0 * (s2 @ np.diag(Q2).copy())
+    for i in range(qf.d):
+        for j in range(i + 1, qf.d):
+            if Q2[i, j] != 0:
+                out = out + 2.0 * Q2[i, j] * sx[:, i] * sx[:, j]
+    return out
 
 
 def build_mask(A: DilationMatrix, G: TrigPoly, ds: DigitSet) -> TrigPoly:

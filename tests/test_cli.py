@@ -194,11 +194,16 @@ def test_oversize_level_is_a_config_error(capsys, tmp_path, command):
     assert peak < 2 ** 20
 
 
-def test_truncation_depth_past_the_cap_is_a_config_error(capsys):
-    # At the cap the non_decay check would fail for want of depth, not of decay.
-    code = cli.main(["verify", "--matrix", "1,-1;1,1", "--J", "3", "--tol", "1e-300"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("config error: truncation depth ")
+def test_truncation_depth_past_the_cap_is_a_config_error(capsys, tmp_path):
+    # At the cap the non_decay check would fail for want of depth, not of decay;
+    # report rejects the tol before it writes any file.
+    for command in ("verify", "report"):
+        out = tmp_path / command
+        code = cli.main([command, "--matrix", "1,-1;1,1", "--J", "3", "--tol", "1e-300",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: truncation depth ")
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_verify_univariate_passes(capsys):

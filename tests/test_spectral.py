@@ -232,13 +232,60 @@ def test_non_finite_rows_give_nan_and_leave_the_rest(fn, name, profiles, rng):
     assert math.isnan(fn(p, bad[1]))
 
 
-@pytest.mark.parametrize("block,grid_n", [(spectral.GRID_BLOCK, 257), (1000, 64)])
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4"])
-def test_blocked_estimate_B_matches_one_grid(name, block, grid_n, profiles, monkeypatch):
-    p = profiles(name)
+def _torus_grid(d, grid_n):
+    """The grid estimate_B walks, materialized: [-pi, pi)^d in C order."""
+    ax = np.linspace(-math.pi, math.pi, grid_n, endpoint=False)
+    return np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1).reshape(-1, d)
+
+
+# 50 is even, yet its linspace misses 0 by an ulp of pi: no row needs the limit.
+GRID_CASES = ([(name, n) for name in ("A1", "A2", "A3", "A4", "uni") for n in (32, 33, 50, 64, 257)]
+              + [("C3", n) for n in (32, 33, 50, 64)])
+
+
+@pytest.mark.parametrize("name,grid_n", GRID_CASES)
+def test_grid_pass_matches_mu(name, grid_n, any_profile):
+    # Tabulated sines, no torus reduction and no radius mask give mu's values
+    # up to the row-dependent rounding of the small BLAS products.
+    p = any_profile(name, 1)
+    rows, vals = map(np.concatenate, zip(*spectral._mu_grid(p, grid_n)))
+    grid = _torus_grid(p.d, grid_n)
+    assert np.array_equal(rows, grid)
+    ref = mu(p, grid)
+    assert np.all(np.abs(vals - ref) <= 2 * np.spacing(np.maximum(np.abs(vals), np.abs(ref))))
+
+
+@pytest.mark.parametrize("name,grid_n", [(name, n) for name in ("A1", "A2", "A3", "A4", "uni")
+                                         for n in (64, 257)] + [("C3", 33), ("C3", 64)])
+def test_grid_maximum_and_refinement_start_match_mu(name, grid_n, any_profile, monkeypatch):
+    p = any_profile(name, 1)
+    grid = _torus_grid(p.d, grid_n)
+    ref = mu(p, grid)
+    first = int(np.argmax(ref))
+    assert estimate_B(p, grid_n, refine_iters=0) == ref[first]
+    # Every sweep of a refinement that never moves is centred on the argmax.
+    spans = []
+
+    def recorder(f, lo, hi, iters=60):
+        spans.append((lo, hi))
+        return lo, -math.inf
+    monkeypatch.setattr(spectral, "_golden_max", recorder)
+    estimate_B(p, grid_n, refine_iters=1)
+    cell = 2 * math.pi / grid_n
+    assert spans == [(x - 2 * cell, x + 2 * cell) for x in grid[first]]
+
+
+@pytest.mark.parametrize("name,block,grid_n",
+                         [(name, block, n) for name in ("A1", "A2", "A3", "A4")
+                          for block, n in ((spectral.GRID_BLOCK, 257), (1000, 64))]
+                         + [("uni", 50, 257), ("uni", 7, 64), ("C3", 1000, 64), ("C3", 500, 33)])
+def test_blocked_estimate_B_matches_one_grid(name, block, grid_n, any_profile, monkeypatch):
+    p = any_profile(name, 1)
     assert grid_n ** p.d % block != 0
+    assert block < grid_n ** (p.d - 1) or p.d < 3
     monkeypatch.setattr(spectral, "GRID_BLOCK", block)
     blocked = estimate_B(p, grid_n=grid_n, refine_iters=6)
+    assert max(len(v) for _, v in spectral._mu_grid(p, grid_n)) <= block
     monkeypatch.setattr(spectral, "GRID_BLOCK", grid_n ** p.d)
     assert estimate_B(p, grid_n=grid_n, refine_iters=6) == blocked
 
