@@ -82,25 +82,37 @@ def load_config(path: str | None, args) -> JobConfig:
     return cfg
 
 
-def _write_or_print(cfg: JobConfig, name: str, text: str):
-    if cfg.out:
-        ioutils.atomic_write(os.path.join(cfg.out, name), text)
-    else:
-        sys.stdout.write(text)
+def _emit(cfg: JobConfig, code: int, outputs: list) -> int:
+    """Write each (file name, text) of `outputs` to --out, or print it; return `code`."""
+    for name, text in outputs:
+        if cfg.out:
+            ioutils.atomic_write(os.path.join(cfg.out, name), text)
+        else:
+            sys.stdout.write(text)
+    return code
 
 
 def _profile(cfg: JobConfig) -> spectral.SpectralProfile:
     return spectral.make_profile(cfg.matrix, m=cfg.m, tol=cfg.tol)
 
 
-def cmd_analyze(cfg: JobConfig) -> int:
+def _profile_and_B(cfg: JobConfig):
+    """The profile and its B at --grid-n, after level J is known to fit."""
+    profile = _profile(cfg)
+    # An oversize level is rejected before any grid, the B grid included.
+    cascade.check_level(profile.A, profile.m0, cfg.m, cfg.J)
+    return profile, spectral.estimate_B(profile, cfg.grid_n)
+
+
+# Each command returns (exit code, [(file name, text), ...]); main writes them.
+
+def cmd_analyze(cfg: JobConfig):
     A = matana.validate_dilation(cfg.matrix)
     cert = matana.certify_isotropy(A)
     if not cert.isotropic:
         doc = {"matrix": cfg.matrix, "isotropic": False,
                "failure_reason": cert.failure_reason}
-        _write_or_print(cfg, "analyze.json", ioutils.emit_json(doc))
-        return EXIT_NOT_ISOTROPIC
+        return EXIT_NOT_ISOTROPIC, [("analyze.json", ioutils.emit_json(doc))]
     qf = cert.witness
     op = matana.orthogonal_part(A, qf)
     doc = {
@@ -114,77 +126,71 @@ def cmd_analyze(cfg: JobConfig) -> int:
         "digits_A": digits.digits_to_json(digits.digit_set(A.entries)),
         "digits_AT": digits.digits_to_json(digits.digit_set(A.entries.T)),
     }
-    _write_or_print(cfg, "analyze.json", ioutils.emit_json(doc))
-    return EXIT_OK
+    return EXIT_OK, [("analyze.json", ioutils.emit_json(doc))]
 
 
-def cmd_mask(cfg: JobConfig, profile: spectral.SpectralProfile | None = None) -> int:
-    profile = profile or _profile(cfg)
+def cmd_mask(cfg: JobConfig, profile: spectral.SpectralProfile):
     mask = profile.m0 ** cfg.m
+    cosine = trigpoly.render_cosine(mask)
     doc = {
         "matrix": cfg.matrix,
         "m": cfg.m,
         "coefficients": trigpoly.mask_to_json(mask),
-        "cosine_form": trigpoly.render_cosine(mask),
+        "cosine_form": cosine,
     }
-    _write_or_print(cfg, "mask.json", ioutils.emit_json(doc))
+    outputs = [("mask.json", ioutils.emit_json(doc))]
     if cfg.out:
-        ioutils.atomic_write(os.path.join(cfg.out, "mask.txt"),
-                             trigpoly.render_cosine(mask) + "\n")
-    return EXIT_OK
+        outputs.append(("mask.txt", cosine + "\n"))
+    return EXIT_OK, outputs
 
 
-def cmd_spectrum(cfg: JobConfig, dump_csv: bool = False) -> int:
-    profile = _profile(cfg)
-    doc = spectral.spectrum_report(profile, grid_n=cfg.grid_n)
+def cmd_spectrum(cfg: JobConfig, profile: spectral.SpectralProfile, B: float,
+                 dump_csv: bool = False):
+    doc = spectral.spectrum_report(profile, B, cfg.grid_n)
     doc = {"matrix": cfg.matrix, "m": cfg.m, **doc}
-    _write_or_print(cfg, "spectrum.json", ioutils.emit_json(doc))
+    outputs = [("spectrum.json", ioutils.emit_json(doc))]
     if dump_csv and cfg.out:
         n = min(cfg.grid_n, 64)
         axes = [np.linspace(-2 * math.pi, 2 * math.pi, n) for _ in range(profile.d)]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, profile.d)
         head = "# " + ",".join(f"xi_{i + 1}" for i in range(profile.d))
-        ioutils.atomic_write(os.path.join(cfg.out, "mu.csv"),
-                             ioutils.field_csv(pts, spectral.mu(profile, pts), head + ",mu"))
-        ioutils.atomic_write(os.path.join(cfg.out, "phi_hat.csv"),
-                             ioutils.field_csv(pts, spectral.phi_hat(profile, pts), head + ",phi_hat"))
-    return EXIT_OK
+        outputs.append(("mu.csv", ioutils.field_csv(pts, spectral.mu(profile, pts), head + ",mu")))
+        outputs.append(("phi_hat.csv", ioutils.field_csv(pts, spectral.phi_hat(profile, pts),
+                                                         head + ",phi_hat")))
+    return EXIT_OK, outputs
 
 
-def cmd_eval(cfg: JobConfig) -> int:
+def cmd_eval(cfg: JobConfig):
     profile = _profile(cfg)
     grid = cascade.sample_phi_m(profile.A, profile.m0, cfg.m, cfg.J)
-    _write_or_print(cfg, "grid.csv", ioutils.grid_csv(grid))
-    return EXIT_OK
+    return EXIT_OK, [("grid.csv", ioutils.grid_csv(grid))]
 
 
-def cmd_verify(cfg: JobConfig, profile: spectral.SpectralProfile | None = None) -> int:
-    profile = profile or _profile(cfg)
+def cmd_verify(cfg: JobConfig, profile: spectral.SpectralProfile, B: float):
     pc = properties.PropertyConfig(J=cfg.J, seed=cfg.seed)
-    report = properties.run_all(profile, pc)
+    report = properties.run_all(profile, B, pc)
     # Runtimes are left out of the emitted report: outputs must be
     # byte-identical for a fixed config and seed.
     doc = {"seed": cfg.seed, "J": cfg.J, **report.to_json(include_runtime=False)}
-    _write_or_print(cfg, "verify.json", ioutils.emit_json(doc))
-    return EXIT_OK if report.passed else EXIT_PROPERTY_FAILURE
+    code = EXIT_OK if report.passed else EXIT_PROPERTY_FAILURE
+    return code, [("verify.json", ioutils.emit_json(doc))]
 
 
-def cmd_report(cfg: JobConfig) -> int:
-    # Reject an oversize level, and a tol past spectral.MAX_DEPTH already at
-    # P = 1, before any file is written: verify's total_positivity grid on
-    # [-6 pi, 6 pi]^d reaches P > 1.  A matrix with no profile is left to
-    # cmd_analyze and cmd_mask, which report it in order.  The spectrum gets
-    # a profile of its own: its --grid-n B must not reach verify's Riesz check.
+def cmd_report(cfg: JobConfig):
+    """analyze, mask, spectrum and verify on one profile and one B.
+
+    All four documents are computed before main writes the first, so an
+    error in any of them leaves no output behind.  A matrix with no profile
+    gets its analyze.json, then the error that stopped the profile.
+    """
     try:
-        profile = _profile(cfg)
+        profile, B = _profile_and_B(cfg)
     except (NotIsotropic, MaskPoleAtDigit):
-        profile = None
-    else:
-        cascade.check_level(profile.A, profile.m0, cfg.m, cfg.J)
-        spectral.truncation_depth_at(profile, 1.0, cfg.tol)
-    codes = [cmd_analyze(cfg), cmd_mask(cfg, profile), cmd_spectrum(cfg),
-             cmd_verify(cfg, profile)]
-    return max(codes)
+        _emit(cfg, *cmd_analyze(cfg))
+        raise
+    results = [cmd_analyze(cfg), cmd_mask(cfg, profile), cmd_spectrum(cfg, profile, B),
+               cmd_verify(cfg, profile, B)]
+    return max(code for code, _ in results), [o for _, outputs in results for o in outputs]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,17 +223,20 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         if args.command == "analyze":
-            return cmd_analyze(cfg)
-        if args.command == "mask":
-            return cmd_mask(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, dump_csv=getattr(args, "csv", False))
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
+            result = cmd_analyze(cfg)
+        elif args.command == "mask":
+            result = cmd_mask(cfg, _profile(cfg))
+        elif args.command == "spectrum":
+            profile = _profile(cfg)
+            result = cmd_spectrum(cfg, profile, spectral.estimate_B(profile, cfg.grid_n),
+                                  dump_csv=args.csv)
+        elif args.command == "eval":
+            result = cmd_eval(cfg)
+        elif args.command == "verify":
+            result = cmd_verify(cfg, *_profile_and_B(cfg))
+        else:
+            result = cmd_report(cfg)
+        return _emit(cfg, *result)
     except NotIsotropic as exc:
         print(f"not isotropic: {exc}", file=sys.stderr)
         return EXIT_NOT_ISOTROPIC
@@ -240,7 +249,6 @@ def main(argv=None) -> int:
     except (SingularMatrix, NotExpanding, ValueError) as exc:
         print(f"invalid matrix: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -10,89 +10,36 @@ relation involving them is verified spectrally.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import cascade, spectral
 from .cascade import LatticeGrid, _empty_grid
-from .matana import QuadraticForm, eval_P
+from .matana import eval_P
 from .spectral import SpectralProfile
 from .trigpoly import TrigPoly, eval_G_stable
 
 
-@dataclass(frozen=True)
-class DifferenceStencil:
-    """Finite map offset -> weight with sum 0 and symbol G."""
+def apply_stencil(G: TrigPoly, grid: LatticeGrid, k: int = 1) -> LatticeGrid:
+    """k-fold application of the difference operator with symbol G on a lattice grid.
 
-    taps: dict[tuple[int, ...], float]
-    d: int
-
-    def symbol(self, xi):
-        """sum_n taps_n e^{-i n.xi}, evaluated at a point or batch."""
-        x = np.asarray(xi, dtype=float)
-        single = x.ndim == 1
-        x = np.atleast_2d(x)
-        out = np.zeros(len(x), dtype=complex)
-        for n, w in self.taps.items():
-            out += w * np.exp(-1j * (x @ np.asarray(n, dtype=float)))
-        return complex(out[0]) if single else out
-
-
-def build_stencil(qf: QuadraticForm) -> DifferenceStencil:
-    """Taps of -sum q_ii D_i^2 - 2 sum_{i<j} q_ij D_ij.
-
-    D_i^2 f = f(.-e_i) - 2f + f(.+e_i); the mixed D_ij is its own four-tap
-    stencil with weight 1/4 and is never collapsed to D_j^2.
-    """
-    d = qf.d
-    Q2 = qf.Q2
-    taps: dict[tuple[int, ...], float] = {}
-
-    def bump(offset, w):
-        offset = tuple(offset)
-        taps[offset] = taps.get(offset, 0.0) + w
-
-    for i in range(d):
-        qii = Q2[i, i]
-        e = [0] * d
-        bump(e, 2.0 * qii)
-        for s in (1, -1):
-            e = [0] * d
-            e[i] = s
-            bump(e, -qii)
-    for i in range(d):
-        for j in range(i + 1, d):
-            qij = Q2[i, j]
-            if qij == 0:
-                continue
-            # -2 q_ij D_ij with D_ij carrying the 1/4 factor.
-            for si, sj, sign in ((1, 1, -1), (-1, -1, -1), (1, -1, 1), (-1, 1, 1)):
-                e = [0] * d
-                e[i], e[j] = si, sj
-                bump(e, sign * qij / 2.0)
-    taps = {k: v for k, v in taps.items() if v != 0.0}
-    return DifferenceStencil(taps, d)
-
-
-def apply_stencil(st: DifferenceStencil, grid: LatticeGrid, k: int = 1) -> LatticeGrid:
-    """k-fold application on a lattice grid.
-
-    Reads outside the input box are exact zeros (compact support); the output
-    box grows by the tap hull per application, since supp(Gf) is contained in
+    The taps are the coefficients of G: the operator maps f to
+    sum_n c_n f(. - n), so that its symbol sum_n c_n e^{-i n.xi} is G; for
+    G = build_G(qf) that is -sum q_ii D_i^2 - 2 sum_{i<j} q_ij D_ij.  Reads
+    outside the input box are exact zeros (compact support); the output box
+    grows by the tap hull per application, since supp(Gf) is contained in
     supp(f) + supp(taps).  Integer offsets shift by A^J in index space.
     """
     if k < 1:
         raise ValueError("power k must be >= 1")
+    taps = G.real_coeffs()
     AJ = grid.A.power(grid.J)
-    offs = np.array(list(st.taps), dtype=np.int64)
+    offs = np.array(list(taps), dtype=np.int64)
     out = grid
     for _ in range(k):
         box = cascade.SupportBox(out.box.lo + offs.min(axis=0),
                                  out.box.hi + offs.max(axis=0))
         nxt = _empty_grid(grid.A, box, grid.J)
-        for n, w in st.taps.items():
+        for n, w in taps.items():
             cascade.shift_accumulate(nxt, out, AJ @ np.asarray(n, dtype=np.int64), w)
         out = nxt
     return out
@@ -130,16 +77,8 @@ def verify_operator_relation(profile: SpectralProfile, m: int, k: int,
     """
     if not 1 <= k < m:
         raise ValueError("need 1 <= k < m")
-    rng = np.random.default_rng(seed)
-    d = profile.d
     tol = profile.truncation_tol
-    pts = []
-    while len(pts) < n_samples:
-        cand = rng.uniform(-4 * math.pi, 4 * math.pi, size=(4 * n_samples, d))
-        eta, _ = spectral._reduce_torus(cand)
-        keep = np.linalg.norm(eta, axis=1) > 0.3
-        pts.extend(cand[keep][: n_samples - len(pts)])
-    pts = np.array(pts)
+    pts = spectral._off_lattice_points(np.random.default_rng(seed), n_samples, profile.d)
     P = eval_P(profile.Q2, pts)
     Gv = eval_G_stable(profile.Q2, pts)
     M1 = spectral.M_eval(profile, pts, tol)

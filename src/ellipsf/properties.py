@@ -145,15 +145,7 @@ def check_strang_fix(profile: SpectralProfile, step: float = 1e-3) -> float:
 def check_fourier_refinement(profile: SpectralProfile, n_samples: int = 100,
                              seed: int = 0) -> float:
     """Max relative residual of phi_hat(xi) = m0(A^{-T} xi)^m phi_hat(A^{-T} xi)."""
-    rng = np.random.default_rng(seed)
-    d = profile.d
-    pts = []
-    while len(pts) < n_samples:
-        cand = rng.uniform(-4 * math.pi, 4 * math.pi, size=(4 * n_samples, d))
-        eta, _ = spectral._reduce_torus(cand)
-        keep = np.linalg.norm(eta, axis=1) > 0.3
-        pts.extend(cand[keep][: n_samples - len(pts)])
-    pts = np.array(pts)
+    pts = spectral._off_lattice_points(np.random.default_rng(seed), n_samples, profile.d)
     B = profile.contraction
     lhs = spectral.phi_hat(profile, pts)
     rhs = profile.m0.eval_real(pts @ B.T) ** profile.m * spectral.phi_hat(profile, pts @ B.T)
@@ -466,8 +458,13 @@ def _mask_is_interpolating(profile: SpectralProfile) -> bool:
     return all(abs(c) <= 1e-12 for k, c in cmap.items() if k != zero)
 
 
-def run_all(profile: SpectralProfile, config: PropertyConfig | None = None) -> PropertyReport:
-    """Execute every check against the profile; failures are report entries."""
+def run_all(profile: SpectralProfile, B: float,
+            config: PropertyConfig | None = None) -> PropertyReport:
+    """Execute every check against the profile; failures are report entries.
+
+    B is the supremum of mu from spectral.estimate_B; the riesz_basis check
+    compares it with the paper's threshold.
+    """
     cfg = config or PropertyConfig()
     report = PropertyReport([[int(v) for v in row] for row in profile.A.entries], profile.m)
     # An oversize level is a bad request, not a property verdict: it raises
@@ -506,10 +503,8 @@ def run_all(profile: SpectralProfile, config: PropertyConfig | None = None) -> P
 
     # Riesz verdict first: it needs no cascade and fails honestly for
     # constructions that only exist as distributions.
-    def riesz():
-        spectral.riesz_verdict(profile)
-        return profile.B_estimate
-    record("riesz_basis", riesz, None, lambda _: bool(profile.riesz_ok))
+    record("riesz_basis", lambda: B, None,
+           lambda _: bool(spectral.riesz_verdict(profile, B)[0]))
 
     if grid_err is None:
         try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,12 +44,12 @@ GRID_BLOCK = 1 << 14
 MAX_DEPTH = 400
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralProfile:
     """Everything needed to evaluate one scaling function in the Fourier domain.
 
-    B_estimate, riesz_ok, threshold and decay_exponent stay None until
-    estimate_B / riesz_verdict have run.
+    Frozen: B and the Riesz verdict are values returned by estimate_B and
+    riesz_verdict, not state of the profile.
     """
 
     A: DilationMatrix
@@ -59,11 +59,6 @@ class SpectralProfile:
     m: int
     digits_AT: digits_mod.DigitSet
     truncation_tol: float = DEFAULT_TOL
-    B_estimate: float | None = None
-    riesz_ok: bool | None = None
-    threshold: float | None = None
-    decay_exponent: float | None = None
-    _tail_C: float | None = field(default=None, repr=False)
 
     @property
     def d(self) -> int:
@@ -76,6 +71,32 @@ class SpectralProfile:
     @property
     def contraction(self) -> np.ndarray:
         return self.A.inv_T
+
+    @functools.cached_property
+    def tail_C(self) -> float:
+        """Calibrated C with |mu - 1| <= C P on the cell and the unit P-ellipsoid.
+
+        Theory only guarantees such a constant exists; this one is an empirical
+        max of |mu - 1| / P over a dense sample.  It controls the geometric
+        tail of the infinite product.
+        """
+        d = self.d
+        rng = np.random.default_rng(1234)
+        pts = []
+        # Fundamental cell grid (avoid the lattice point itself).
+        axes = [np.linspace(-math.pi, math.pi, 41) for _ in range(d)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        keep = np.sum(grid * grid, axis=1) > 1e-4
+        pts.append(grid[keep])
+        # Unit P-ellipsoid samples: random directions, radii spread to the boundary.
+        dirs = rng.normal(size=(400, d))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        pdir = matana.eval_P(self.Q2, dirs)
+        for t in (0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 1.0):
+            pts.append(dirs * (t / np.sqrt(pdir))[:, None])
+        pts = np.vstack(pts)
+        vals = np.abs(mu(self, pts) - 1.0) / matana.eval_P(self.Q2, pts)
+        return float(np.max(vals)) * 1.05 + 1e-12
 
 
 def make_profile(matrix, m: int = 1, tol: float = DEFAULT_TOL) -> SpectralProfile:
@@ -98,6 +119,21 @@ def _reduce_torus(xi: np.ndarray):
     k = np.round(xi / TWO_PI)
     eta = xi - TWO_PI * k
     return eta, k
+
+
+def _off_lattice_points(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n points drawn uniformly on [-4 pi, 4 pi]^d at torus distance > 0.3 from 2 pi Z^d.
+
+    Candidates are drawn in batches of 4n and kept in draw order, so a given
+    rng state always yields the same points.
+    """
+    pts = []
+    while len(pts) < n:
+        cand = rng.uniform(-4 * math.pi, 4 * math.pi, size=(4 * n, d))
+        eta, _ = _reduce_torus(cand)
+        keep = np.linalg.norm(eta, axis=1) > 0.3
+        pts.extend(cand[keep][: n - len(pts)])
+    return np.array(pts)
 
 
 def _pointwise(f):
@@ -147,43 +183,12 @@ def mu(profile: SpectralProfile, x: np.ndarray) -> np.ndarray:
 
 
 def mu_quadratic_constant(profile: SpectralProfile) -> float:
-    """Calibrated C with |mu - 1| <= C P on the cell and the unit P-ellipsoid.
-
-    Theory only guarantees such a constant exists; this one is an empirical
-    max of |mu - 1| / P over a dense sample, cached on the profile.  It
-    controls the geometric tail of the infinite product.
-    """
-    if profile._tail_C is not None:
-        return profile._tail_C
-    d = profile.d
-    rng = np.random.default_rng(1234)
-    pts = []
-    # Fundamental cell grid (avoid the lattice point itself).
-    axes = [np.linspace(-math.pi, math.pi, 41) for _ in range(d)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    keep = np.sum(grid * grid, axis=1) > 1e-4
-    pts.append(grid[keep])
-    # Unit P-ellipsoid samples: random directions, radii spread to the boundary.
-    dirs = rng.normal(size=(400, d))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    pdir = matana.eval_P(profile.Q2, dirs)
-    for t in (0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 1.0):
-        pts.append(dirs * (t / np.sqrt(pdir))[:, None])
-    pts = np.vstack(pts)
-    vals = np.abs(mu(profile, pts) - 1.0) / matana.eval_P(profile.Q2, pts)
-    C = float(np.max(vals)) * 1.05 + 1e-12
-    profile._tail_C = C
-    return C
+    """The profile's tail constant C: see SpectralProfile.tail_C."""
+    return profile.tail_C
 
 
 def _truncation_depth(profile: SpectralProfile, x: np.ndarray, tol: float | None) -> int:
-    """truncation_depth_at for the largest P over the rows of x."""
-    pmax = max(float(np.max(matana.eval_P(profile.Q2, x))) if len(x) else 0.0, 1e-300)
-    return truncation_depth_at(profile, pmax, tol)
-
-
-def truncation_depth_at(profile: SpectralProfile, pmax: float, tol: float | None) -> int:
-    """Smallest J with the geometric tail bound C q^{-2J/d} P < tol for every P <= pmax.
+    """Smallest J with the geometric tail bound C q^{-2J/d} P < tol for every row of x.
 
     At least 3; raises ConfigError when it exceeds MAX_DEPTH.
     """
@@ -191,6 +196,7 @@ def truncation_depth_at(profile: SpectralProfile, pmax: float, tol: float | None
         tol = profile.truncation_tol
     if tol <= 0:
         raise ValueError("tol must be positive")
+    pmax = max(float(np.max(matana.eval_P(profile.Q2, x))) if len(x) else 0.0, 1e-300)
     C = mu_quadratic_constant(profile)
     ratio = profile.q ** (-2.0 / profile.d)
     budget = tol * (1.0 - ratio) / (2.0 * C)
@@ -319,17 +325,13 @@ def estimate_B(profile: SpectralProfile, grid_n: int = 256, refine_iters: int = 
         if vals[i] > best:  # strict: the first maximum wins, as in np.argmax
             best, best_x = float(vals[i]), block[i].copy()
     cell = TWO_PI / grid_n
-
-    def f_at(x):
-        return float(mu(profile, x[None, :])[0])
-
     for _ in range(max(refine_iters, 0)):
         moved = False
         for axis in range(d):
             def f1(t, axis=axis):
                 x = best_x.copy()
                 x[axis] = t
-                return f_at(x)
+                return mu(profile, x)
             t, ft = _golden_max(f1, best_x[axis] - 2 * cell, best_x[axis] + 2 * cell)
             if ft > best:
                 best = ft
@@ -337,37 +339,32 @@ def estimate_B(profile: SpectralProfile, grid_n: int = 256, refine_iters: int = 
                 moved = True
         if not moved:
             break
-    profile.B_estimate = best
     return best
 
 
-def riesz_verdict(profile: SpectralProfile):
+def riesz_verdict(profile: SpectralProfile, B: float):
     """Riesz-basis test B < q^{2/d - 1/(2m)} plus the brute-force decay exponent.
 
-    Returns (riesz_ok, threshold, decay_exponent) with
-    decay_exponent = m (d log_q B - 2).  The comparison gets 1e-12 of slack
-    toward failure so borderline estimates never pass by rounding.
+    B is the supremum of mu, as estimate_B returns it.  Returns
+    (riesz_ok, threshold, decay_exponent) with decay_exponent = m (d log_q B - 2).
+    The comparison gets 1e-12 of slack toward failure so borderline estimates
+    never pass by rounding.
     """
-    if profile.B_estimate is None:
-        estimate_B(profile)
-    B = profile.B_estimate
     exponent = 2.0 / profile.d - 1.0 / (2.0 * profile.m)
     threshold = profile.q ** exponent
     ok = B < threshold - 1e-12
     decay = profile.m * (profile.d * math.log(B) / math.log(profile.q) - 2.0)
-    profile.riesz_ok = ok
-    profile.threshold = threshold
-    profile.decay_exponent = decay
     return ok, threshold, decay
 
 
-def spectrum_report(profile: SpectralProfile, grid_n: int = 256,
-                    refine_iters: int = 12) -> dict:
-    """JSON-ready summary used by the CLI `spectrum` command."""
-    estimate_B(profile, grid_n=grid_n, refine_iters=refine_iters)
-    ok, threshold, decay = riesz_verdict(profile)
+def spectrum_report(profile: SpectralProfile, B: float, grid_n: int) -> dict:
+    """JSON-ready summary used by the CLI `spectrum` command.
+
+    B is estimate_B's value on the grid_n^d grid.
+    """
+    ok, threshold, decay = riesz_verdict(profile, B)
     return {
-        "B": profile.B_estimate,
+        "B": B,
         "threshold": threshold,
         "riesz_ok": ok,
         "decay_exponent": decay,

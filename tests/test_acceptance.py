@@ -91,15 +91,13 @@ def test_c04_riesz_verdicts(profiles):
     details = []
     for name, (want_ok, want_decay) in expected.items():
         p = profiles(name)
-        if p.B_estimate is None:
-            spectral.estimate_B(p, grid_n=256, refine_iters=12)
-        got_ok, _, decay = spectral.riesz_verdict(p)
+        got_ok, _, decay = spectral.riesz_verdict(
+            p, spectral.estimate_B(p, grid_n=256, refine_iters=12))
         ok &= got_ok == want_ok and abs(decay - want_decay) < 5e-4
         details.append(f"{name}:{decay:+.5f}")
     p2 = profiles("A2")
-    if p2.B_estimate is None:
-        spectral.estimate_B(p2, grid_n=256, refine_iters=12)
-    got_ok2, _, _ = spectral.riesz_verdict(p2)
+    got_ok2, _, _ = spectral.riesz_verdict(
+        p2, spectral.estimate_B(p2, grid_n=256, refine_iters=12))
     ok &= got_ok2 is False
     assert _line(4, "Riesz verdicts and decay", ok, "(" + ", ".join(details) + ", A2 fails)")
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ellipsf import cli, trigpoly
+from ellipsf import cli, spectral, trigpoly
 from ellipsf.errors import MaskPoleAtDigit
 
 import helpers
@@ -35,10 +35,14 @@ def test_analyze_tr1(capsys):
     assert np.max(np.abs(np.array(doc["Q2"]) - [[2, -0.5], [-0.5, 1]])) < 1e-10
 
 
-def test_analyze_non_isotropic_exit_3(capsys):
+def test_analyze_non_isotropic_exit_3(capsys, tmp_path):
     code, out = run_cli(capsys, "analyze", "--matrix", "2,1;0,2")
     assert code == 3
     assert json.loads(out)["isotropic"] is False
+    # report writes the analysis that explains the exit code, and nothing else
+    assert cli.main(["report", "--matrix", "2,1;0,2", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("not isotropic: ")
+    assert [f.name for f in tmp_path.iterdir()] == ["analyze.json"]
 
 
 def test_analyze_singular_exit_2(capsys):
@@ -115,12 +119,15 @@ def test_mask_order_two_squares_coefficients(capsys):
     assert helpers.coeff_dict_dist(got, expected) < 1e-13
 
 
-def test_mask_pole_exit_4(capsys, monkeypatch):
+def test_mask_pole_exit_4(capsys, monkeypatch, tmp_path):
     def boom(*args, **kwargs):
         raise MaskPoleAtDigit("synthetic")
     monkeypatch.setattr(trigpoly, "build_mask", boom)
     code, _ = run_cli(capsys, "mask", "--matrix", "1,-1;1,1")
     assert code == 4
+    assert cli.main(["report", "--matrix", "1,-1;1,1", "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "mask pole: synthetic\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["analyze.json"]
 
 
 SPECTRUM_FIXTURES = [
@@ -196,14 +203,44 @@ def test_oversize_level_is_a_config_error(capsys, tmp_path, command):
 
 def test_truncation_depth_past_the_cap_is_a_config_error(capsys, tmp_path):
     # At the cap the non_decay check would fail for want of depth, not of decay;
-    # report rejects the tol before it writes any file.
-    for command in ("verify", "report"):
-        out = tmp_path / command
-        code = cli.main([command, "--matrix", "1,-1;1,1", "--J", "3", "--tol", "1e-300",
+    # report computes every document before it writes any file.  1e-119 passes
+    # at P = 1 and fails only at the larger P of verify's [-6 pi, 6 pi]^d grid.
+    for command, tol in (("verify", "1e-300"), ("report", "1e-300"), ("report", "1e-119")):
+        out = tmp_path / f"{command}-{tol}"
+        code = cli.main([command, "--matrix", "1,-1;1,1", "--J", "3", "--tol", tol,
                          "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: truncation depth ")
         assert not out.exists() or not any(out.iterdir())
+
+
+def test_report_builds_one_profile_and_one_B(capsys, tmp_path, monkeypatch):
+    calls = {"make_profile": [], "estimate_B": []}
+    for name in calls:
+        original = getattr(spectral, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name].append(args[1:])
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(spectral, name, counted)
+    code, _ = run_cli(capsys, "report", "--matrix", "1,-2;1,0", "--J", "5",
+                      "--grid-n", "64", "--out", str(tmp_path))
+    assert code == 0
+    assert len(calls["make_profile"]) == 1
+    assert calls["estimate_B"] == [(64,)]
+    spectrum = json.loads((tmp_path / "spectrum.json").read_text())
+    verify = json.loads((tmp_path / "verify.json").read_text())
+    riesz = next(c for c in verify["checks"] if c["name"] == "riesz_basis")
+    assert riesz["residual"] == spectrum["B"]
+
+
+@pytest.mark.parametrize("matrix", ["1,-2;1,0", "2,0;0,2"])
+def test_verify_estimates_B_at_grid_n(matrix, capsys):
+    code, out = run_cli(capsys, "verify", "--matrix", matrix, "--J", "5", "--grid-n", "64")
+    assert code == 0
+    riesz = next(c for c in json.loads(out)["checks"] if c["name"] == "riesz_basis")
+    profile = spectral.make_profile(cli.parse_matrix(matrix))
+    assert riesz["residual"] == spectral.estimate_B(profile, 64)
 
 
 def test_verify_univariate_passes(capsys):

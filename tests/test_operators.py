@@ -5,41 +5,38 @@ import numpy as np
 import pytest
 
 from ellipsf import cascade, matana, operators, spectral
-from ellipsf.trigpoly import eval_G_stable
+from ellipsf.trigpoly import build_G, eval_G_stable
 
 import helpers
 
 
 def test_stencil_identity_form():
-    st = operators.build_stencil(matana.QuadraticForm(np.eye(2), 2))
+    taps = build_G(matana.QuadraticForm(np.eye(2), 2)).real_coeffs()
     expected = {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0, (0, 1): -1.0, (0, -1): -1.0}
-    assert helpers.coeff_dict_dist(st.taps, expected) < 1e-15
+    assert helpers.coeff_dict_dist(taps, expected) < 1e-15
 
 
 def test_stencil_univariate_second_difference():
-    st = operators.build_stencil(matana.QuadraticForm(np.eye(1), 1))
-    assert helpers.coeff_dict_dist(st.taps, {(-1,): -1.0, (0,): 2.0, (1,): -1.0}) < 1e-15
+    taps = build_G(matana.QuadraticForm(np.eye(1), 1)).real_coeffs()
+    assert helpers.coeff_dict_dist(taps, {(-1,): -1.0, (0,): 2.0, (1,): -1.0}) < 1e-15
 
 
 def test_stencil_mixed_terms():
     qf = matana.QuadraticForm(np.array([[2.0, 0.5], [0.5, 1.0]]), 2)
-    st = operators.build_stencil(qf)
-    assert st.taps[(1, 1)] == pytest.approx(-0.25)
-    assert st.taps[(-1, -1)] == pytest.approx(-0.25)
-    assert st.taps[(1, -1)] == pytest.approx(0.25)
-    assert st.taps[(-1, 1)] == pytest.approx(0.25)
-    assert st.taps[(0, 0)] == pytest.approx(6.0)
+    taps = build_G(qf).real_coeffs()
+    assert taps[(1, 1)] == pytest.approx(-0.25)
+    assert taps[(-1, -1)] == pytest.approx(-0.25)
+    assert taps[(1, -1)] == pytest.approx(0.25)
+    assert taps[(-1, 1)] == pytest.approx(0.25)
+    assert taps[(0, 0)] == pytest.approx(6.0)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "uni"])
 def test_stencil_symbol_is_G(name, profiles, rng):
     p = profiles(name)
-    st = operators.build_stencil(p.Q2)
     pts = rng.uniform(-8, 8, size=(100, p.d))
-    sym = st.symbol(pts)
-    assert np.max(np.abs(sym.imag)) < 1e-12
-    assert np.max(np.abs(sym.real - eval_G_stable(p.Q2, pts))) < 1e-12
-    assert abs(sum(st.taps.values())) < 1e-12
+    assert np.max(np.abs(p.G.eval_real(pts) - eval_G_stable(p.Q2, pts))) < 1e-12
+    assert abs(sum(p.G.real_coeffs().values())) < 1e-12
 
 
 def _filled_grid(profile, values_of_x, J=3, half=2):
@@ -59,27 +56,24 @@ def _interior(profile, g, idx, x, margin=1.1):
 
 def test_apply_stencil_annihilates_constants(profiles):
     p = profiles("A1")
-    st = operators.build_stencil(p.Q2)
     g, idx, x = _filled_grid(p, lambda pts: np.ones(len(pts)))
-    out = operators.apply_stencil(st, g)
+    out = operators.apply_stencil(build_G(p.Q2), g)
     interior = _interior(p, g, idx, x)
     assert np.max(np.abs(out.lookup(interior))) == 0.0
 
 
 def test_apply_stencil_annihilates_affine(profiles):
     p = profiles("A3")
-    st = operators.build_stencil(p.Q2)
     g, idx, x = _filled_grid(p, lambda pts: 2.0 * pts[:, 0] - pts[:, 1] + 0.5)
-    out = operators.apply_stencil(st, g)
+    out = operators.apply_stencil(build_G(p.Q2), g)
     interior = _interior(p, g, idx, x)
     assert np.max(np.abs(out.lookup(interior))) < 1e-12
 
 
 def test_apply_stencil_rejects_bad_power(profiles, grids):
     p = profiles("A1")
-    st = operators.build_stencil(p.Q2)
     with pytest.raises(ValueError):
-        operators.apply_stencil(st, grids("A1", 1, 3), k=0)
+        operators.apply_stencil(build_G(p.Q2), grids("A1", 1, 3), k=0)
 
 
 def _poly_after_stencil(taps, alpha):
@@ -103,11 +97,11 @@ def test_stencil_reduces_polynomial_degree(name, profiles):
     # G applied to monomial samples of total degree N <= 4 leaves a
     # polynomial of total degree <= N - 2 (exact difference calculus).
     p = profiles(name)
-    st = operators.build_stencil(p.Q2)
+    taps = build_G(p.Q2).real_coeffs()
     for alpha in product(range(5), repeat=2):
         if not 0 <= sum(alpha) <= 4:
             continue
-        result = _poly_after_stencil(st.taps, alpha)
+        result = _poly_after_stencil(taps, alpha)
         if not result:  # the zero polynomial
             continue
         assert max(sum(k) for k in result) <= sum(alpha) - 2
@@ -182,8 +176,7 @@ def test_green_annihilation_coefficient_identity(profiles):
 def test_stencil_dft_cross_check(profiles, grids):
     p = profiles("A1")
     g = grids("A1", 1, 5)
-    st = operators.build_stencil(p.Q2)
-    out = operators.apply_stencil(st, g)
+    out = operators.apply_stencil(build_G(p.Q2), g)
     X = out.cartesian_points()
     V = out.values
     w = g.quadrature_weight
@@ -195,7 +188,6 @@ def test_stencil_dft_cross_check(profiles, grids):
 
 def test_apply_stencil_grows_box(profiles, grids):
     g = grids("A1", 1, 3)
-    st = operators.build_stencil(profiles("A1").Q2)
-    out = operators.apply_stencil(st, g)
+    out = operators.apply_stencil(build_G(profiles("A1").Q2), g)
     assert np.all(out.box.lo == g.box.lo - 1)
     assert np.all(out.box.hi == g.box.hi + 1)

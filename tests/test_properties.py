@@ -157,12 +157,16 @@ def test_diag_is_not_square_of_quincunx(profiles):
     assert helpers.coeff_dict_dist(m04.coeffs, product.coeffs) > 1e-3
 
 
+def _run_all(p, cfg):
+    return run_all(p, spectral.estimate_B(p, 128), cfg)
+
+
 def _statuses(report):
     return {c.name: c.status for c in report.checks}
 
 
 def test_run_all_univariate_m2_all_pass(profiles):
-    report = run_all(profiles("uni", 2), PropertyConfig(J=5))
+    report = _run_all(profiles("uni", 2), PropertyConfig(J=5))
     st = _statuses(report)
     assert report.passed
     assert st["riesz_basis"] == "pass"
@@ -172,7 +176,7 @@ def test_run_all_univariate_m2_all_pass(profiles):
 
 
 def test_run_all_quincunx_m1(profiles):
-    report = run_all(profiles("A1", 1), PropertyConfig(J=5))
+    report = _run_all(profiles("A1", 1), PropertyConfig(J=5))
     st = _statuses(report)
     for name in ("riesz_basis", "mass", "partition_of_unity", "interpolation",
                  "lattice_nonnegativity", "total_positivity", "strang_fix",
@@ -188,7 +192,7 @@ def test_run_all_quincunx_m1(profiles):
 
 
 def test_run_all_convolution_skips_without_coarser_level(profiles):
-    report = run_all(profiles("uni", 1), PropertyConfig(J=0))
+    report = _run_all(profiles("uni", 1), PropertyConfig(J=0))
     conv = next(c for c in report.checks if c.name == "convolution")
     assert conv.status == "skip"
     assert "J >= 1" in conv.note
@@ -196,7 +200,7 @@ def test_run_all_convolution_skips_without_coarser_level(profiles):
 
 @pytest.mark.parametrize("name,J", [("uni", 0), ("uni", 2), ("A1", 0), ("A1", 2)])
 def test_run_all_skips_checks_below_their_level(name, J, profiles):
-    report = run_all(profiles(name, 1), PropertyConfig(J=J))
+    report = _run_all(profiles(name, 1), PropertyConfig(J=J))
     checks = {c.name: c for c in report.checks}
     assert (checks["partition_of_unity"].status, checks["partition_of_unity"].note) \
         == ("skip", "need J >= 3")
@@ -211,7 +215,7 @@ def test_run_all_skips_checks_below_their_level(name, J, profiles):
 
 
 def test_run_all_a2_riesz_fails_report_completes(profiles):
-    report = run_all(profiles("A2", 1), PropertyConfig(J=4))
+    report = _run_all(profiles("A2", 1), PropertyConfig(J=4))
     st = _statuses(report)
     assert st["riesz_basis"] == "fail"
     assert not report.passed
@@ -222,6 +226,6 @@ def test_run_all_a2_riesz_fails_report_completes(profiles):
 
 def test_run_all_deterministic(profiles):
     cfg = PropertyConfig(J=4, seed=11)
-    r1 = run_all(profiles("A3", 1), cfg)
-    r2 = run_all(profiles("A3", 1), cfg)
+    r1 = _run_all(profiles("A3", 1), cfg)
+    r2 = _run_all(profiles("A3", 1), cfg)
     assert r1.to_json(include_runtime=False) == r2.to_json(include_runtime=False)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -120,8 +121,7 @@ def test_M_non_decay_along_digit_orbits(name, profiles):
 @pytest.mark.parametrize("name", ["A1", "A3", "A4"])
 def test_M_growth_bound(name, profiles, rng):
     p = profiles(name)
-    estimate_B(p, grid_n=128, refine_iters=8)
-    alpha = p.d * math.log(p.B_estimate) / math.log(p.q)
+    alpha = p.d * math.log(estimate_B(p, grid_n=128, refine_iters=8)) / math.log(p.q)
     ax = np.linspace(-math.pi, math.pi, 41)
     cell = np.stack(np.meshgrid(*([ax] * p.d), indexing="ij"), axis=-1).reshape(-1, p.d)
     C_fit = np.max(M_eval(p, cell) / (1 + np.linalg.norm(cell, axis=1)) ** alpha)
@@ -319,34 +319,45 @@ RIESZ_FIXTURES = [
 @pytest.mark.parametrize("name,m,ok_expected,decay_expected", RIESZ_FIXTURES)
 def test_riesz_verdicts(name, m, ok_expected, decay_expected, profiles):
     p = profiles(name, m)
-    estimate_B(p, grid_n=128, refine_iters=10)
-    ok, threshold, decay = riesz_verdict(p)
+    ok, threshold, decay = riesz_verdict(p, estimate_B(p, grid_n=128, refine_iters=10))
     assert ok == ok_expected
     assert threshold == pytest.approx(p.q ** (2.0 / p.d - 1.0 / (2 * m)), abs=1e-14)
     assert decay == pytest.approx(decay_expected, abs=5e-4)
+
+
+def test_profile_is_frozen(profiles):
+    p = profiles("A1")
+    for name, value in (("m", 2), ("truncation_tol", 1e-6), ("G", p.m0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, value)
+
+
+@pytest.mark.parametrize("name,m", [("A2", 1), ("A3", 2), ("uni", 1)])
+def test_spectral_values_leave_the_profile_as_it_was(name, m, profiles):
+    p = profiles(name, m)
+    before = dict(vars(p))
+    B = estimate_B(p, grid_n=64, refine_iters=4)
+    verdict = riesz_verdict(p, B)
+    doc = spectral.spectrum_report(p, B, 64)
+    assert vars(p).keys() == before.keys()
+    assert all(vars(p)[k] is v for k, v in before.items())
+    assert (doc["riesz_ok"], doc["threshold"], doc["decay_exponent"]) == verdict
+    assert riesz_verdict(p, B) == verdict
 
 
 def test_riesz_threshold_improves_with_order(profiles):
     # raising m weakens the sufficient condition toward q^{2/d}
     p1 = profiles("A2", 1)
     p3 = profiles("A2", 3)
-    estimate_B(p1, 64, 5)
-    estimate_B(p3, 64, 5)
-    _, t1, _ = riesz_verdict(p1)
-    _, t3, _ = riesz_verdict(p3)
+    _, t1, _ = riesz_verdict(p1, estimate_B(p1, 64, 5))
+    _, t3, _ = riesz_verdict(p3, estimate_B(p3, 64, 5))
     assert t1 < t3 < p1.q ** (2.0 / p1.d)
 
 
 def test_fourier_refinement_identity(profiles, rng):
     for name in ("A1", "A3", "A4"):
         p = profiles(name)
-        pts = []
-        while len(pts) < 100:
-            cand = rng.uniform(-4 * math.pi, 4 * math.pi, size=(400, p.d))
-            eta, _ = spectral._reduce_torus(cand)
-            keep = np.linalg.norm(eta, axis=1) > 0.3
-            pts.extend(cand[keep][: 100 - len(pts)])
-        pts = np.array(pts)
+        pts = spectral._off_lattice_points(rng, 100, p.d)
         lhs = phi_hat(p, pts)
         B = p.contraction
         rhs = p.m0.eval_real(pts @ B.T) * phi_hat(p, pts @ B.T)
@@ -354,6 +365,9 @@ def test_fourier_refinement_identity(profiles, rng):
 
 
 def test_spectrum_report_fields(profiles):
-    doc = spectral.spectrum_report(profiles("A3"), grid_n=64, refine_iters=6)
+    p = profiles("A3")
+    B = estimate_B(p, grid_n=64, refine_iters=6)
+    doc = spectral.spectrum_report(p, B, 64)
     assert set(doc) == {"B", "threshold", "riesz_ok", "decay_exponent", "grid_n", "tol"}
     assert doc["riesz_ok"] is True
+    assert (doc["B"], doc["grid_n"]) == (B, 64)
