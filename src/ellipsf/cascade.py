@@ -40,13 +40,17 @@ _PROBE_FREQUENCIES = (1.0, math.sqrt(2.0), math.sqrt(3.0))
 _EIGEN_RESIDUAL_TOL = 1e-10
 
 # Largest dense grid (index bounding box) a level may take.  A grid keeps 9
-# bytes a cell (float64 values, bool mask); building it also holds the int64
-# indices, the float64 points and bool temporaries, 48 bytes a cell at the
-# peak for d = 2 and 72 for d = 3 (tracemalloc), so 2^24 cells peak near
-# 0.8 GB and 1.2 GB.  The benchmark's largest grid, A3 at m = 2 and J = 11,
-# has 805 809 cells; C3 at m = 2 and J = 3 has 33 825.
+# bytes a cell (float64 values, bool mask); a refinement step also holds the
+# coarser level and a temporary of its size, about 17 bytes a cell at the
+# peak for q = 2 (tracemalloc), so 2^24 cells peak near 0.3 GB.  The
+# benchmark's largest grid, A3 at m = 2 and J = 11, has 805 809 cells; C3 at
+# m = 2 and J = 3 has 33 825.
 MAX_GRID_CELLS = 1 << 24
-
+# Cells per slab in which a new grid's support mask is filled.  A slab's
+# float64 points take 8 d bytes a cell, under 100 KB for d <= 3; slabs of
+# 2^14 cells left the lattice benchmark's peak RSS 0.7 MB higher after 36 s
+# of repeated passes.
+INSIDE_BLOCK = 1 << 12
 
 @dataclass(frozen=True)
 class SupportBox:
@@ -187,10 +191,33 @@ def grid_bounds(A: DilationMatrix, box: SupportBox, J: int):
 
 
 def _empty_grid(A: DilationMatrix, box: SupportBox, J: int) -> LatticeGrid:
+    """Zero level-J grid whose mask marks the index points j with A^{-J} j in `box`.
+
+    x = A^{-J} j = sum_i j_i a_i, with a_i column i of A^{-J}, is summed from
+    one table j_i a_i per axis, broadcast over a slab of the first axis at a
+    time, so only one slab's points (about INSIDE_BLOCK) are alive beside the
+    grid.  x lies in q^{-J} Z^d, so it is on a face of the box or at least
+    q^{-J} away from it, far beyond the 1e-9 slack for any grid within
+    MAX_GRID_CELLS: the mask does not depend on how the sums are rounded.
+    """
     lo_idx, shape = grid_bounds(A, box, J)
-    grids = np.indices(shape).reshape(A.d, -1).T + lo_idx
-    x = grids @ np.linalg.inv(A.power(J).astype(float)).T
-    inside = np.all((x >= box.lo - 1e-9) & (x <= box.hi + 1e-9), axis=1).reshape(shape)
+    d = A.d
+    cols = np.linalg.inv(A.power(J).astype(float)).T
+    tables = []
+    for i, (lo, n, a) in enumerate(zip(lo_idx, shape, cols)):
+        axis_shape = (1,) * i + (n,) + (1,) * (d - 1 - i) + (d,)
+        tables.append(((lo + np.arange(n))[:, None] * a).reshape(axis_shape))
+    inside = np.empty(shape, dtype=bool)
+    slab = max(1, INSIDE_BLOCK // math.prod(shape[1:]))
+    for start in range(0, shape[0], slab):
+        x = tables[0][start:start + slab]
+        for t in tables[1:]:
+            x = x + t
+        ok = (x >= box.lo - 1e-9) & (x <= box.hi + 1e-9)
+        part = inside[start:start + slab]
+        part[...] = ok[..., 0]
+        for c in range(1, d):
+            part &= ok[..., c]
     return LatticeGrid(J, A, box, lo_idx, np.zeros(shape), inside)
 
 

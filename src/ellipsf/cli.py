@@ -97,11 +97,12 @@ def _profile(cfg: JobConfig) -> spectral.SpectralProfile:
 
 
 def _profile_and_B(cfg: JobConfig):
-    """The profile and its B at --grid-n, after level J is known to fit."""
+    """The profile, its B at --grid-n, and cascade.check_level's (rc, box)
+    for order m, once level J is known to fit."""
     profile = _profile(cfg)
     # An oversize level is rejected before any grid, the B grid included.
-    cascade.check_level(profile.A, profile.m0, cfg.m, cfg.J)
-    return profile, spectral.estimate_B(profile, cfg.grid_n)
+    level = cascade.check_level(profile.A, profile.m0, cfg.m, cfg.J)
+    return profile, spectral.estimate_B(profile, cfg.grid_n), level
 
 
 # Each command returns (exit code, [(file name, text), ...]); main writes them.
@@ -166,9 +167,9 @@ def cmd_eval(cfg: JobConfig):
     return EXIT_OK, [("grid.csv", ioutils.grid_csv(grid))]
 
 
-def cmd_verify(cfg: JobConfig, profile: spectral.SpectralProfile, B: float):
+def cmd_verify(cfg: JobConfig, profile: spectral.SpectralProfile, B: float, level: tuple):
     pc = properties.PropertyConfig(J=cfg.J, seed=cfg.seed)
-    report = properties.run_all(profile, B, pc)
+    report = properties.run_all(profile, B, pc, level)
     # Runtimes are left out of the emitted report: outputs must be
     # byte-identical for a fixed config and seed.
     doc = {"seed": cfg.seed, "J": cfg.J, **report.to_json(include_runtime=False)}
@@ -184,12 +185,12 @@ def cmd_report(cfg: JobConfig):
     gets its analyze.json, then the error that stopped the profile.
     """
     try:
-        profile, B = _profile_and_B(cfg)
+        profile, B, level = _profile_and_B(cfg)
     except (NotIsotropic, MaskPoleAtDigit):
         _emit(cfg, *cmd_analyze(cfg))
         raise
     results = [cmd_analyze(cfg), cmd_mask(cfg, profile), cmd_spectrum(cfg, profile, B),
-               cmd_verify(cfg, profile, B)]
+               cmd_verify(cfg, profile, B, level)]
     return max(code for code, _ in results), [o for _, outputs in results for o in outputs]
 
 

@@ -458,12 +458,14 @@ def _mask_is_interpolating(profile: SpectralProfile) -> bool:
     return all(abs(c) <= 1e-12 for k, c in cmap.items() if k != zero)
 
 
-def run_all(profile: SpectralProfile, B: float,
-            config: PropertyConfig | None = None) -> PropertyReport:
+def run_all(profile: SpectralProfile, B: float, config: PropertyConfig | None = None,
+            level: tuple | None = None) -> PropertyReport:
     """Execute every check against the profile; failures are report entries.
 
     B is the supremum of mu from spectral.estimate_B; the riesz_basis check
-    compares it with the paper's threshold.
+    compares it with the paper's threshold.  level, if given, is
+    cascade.check_level's (rc, box) for profile.m and config.J, as a caller
+    that has already checked the level holds it; otherwise it is computed.
     """
     cfg = config or PropertyConfig()
     report = PropertyReport([[int(v) for v in row] for row in profile.A.entries], profile.m)
@@ -471,7 +473,7 @@ def run_all(profile: SpectralProfile, B: float,
     # ConfigError here, before any check runs.
     grid = grid0 = grid_err = None
     try:
-        rc, box = cascade.check_level(profile.A, profile.m0, profile.m, cfg.J)
+        rc, box = level or cascade.check_level(profile.A, profile.m0, profile.m, cfg.J)
     except ConfigError:
         raise
     except Exception as exc:

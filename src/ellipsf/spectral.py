@@ -8,12 +8,31 @@ decay exponent.
 phi_hat is evaluated in its telescoped form.  With the contraction B = A^{-T},
 P(B xi) = q^{-2/d} P(xi) gives
 (G/P)(xi) prod_{j=0..J} mu(B^j xi) = (G/P)(B^{J+1} xi) prod_{j=1..J+1} m0(B^j xi),
-which takes one mask evaluation per level and one G/P at the end.
+which takes one mask evaluation per level.
 
-Singularities: mu and G/P have removable 0/0 points on 2 pi Z^d (resp. at 0).
-G is evaluated in its sin form, so both quotients stay exact next to them;
-below LIMIT_RADIUS, where the squares underflow, their limit 1 is returned.
-Query rows with a NaN or infinite coordinate give NaN.
+Both products are closed at eta = B^{J+1} xi by the moments of phi rather
+than cut off there.  Their exact tails are phi_hat_1(eta) for phi_hat and
+M(eta) = phi_hat_1(eta) P(eta) / G(eta) for M, with
+phi_hat_1(eta) = prod_{j>=1} m0(B^j eta).  Write V = sum_k c_k k k^T over the
+mask's coefficients, so m0(z) = 1 - z^T V z / 2 + O(|z|^4), and let S solve
+the Stein equation A S A^T - S = V (S is the second-moment matrix of phi;
+Cavaretta, Dahmen and Micchelli, Stationary Subdivision, 1991).  Then
+log phi_hat_1(eta) = -eta^T S eta / 2 + O(P(eta)^2), and with the quartic
+Taylor term G4 of G = P + G4 + O(|eta|^6),
+
+    h(eta) = -eta^T S eta / 2 - G4(eta) / P(eta)
+
+is log M(eta) to O(P(eta)^2).  So M_eval closes with exp(h(eta)) and phi_hat
+with (G/P)(eta) exp(h(eta)).  In one dimension phi_hat_1 = G/P exactly, and
+h vanishes up to rounding.  The depth J is derived, not calibrated:
+SpectralProfile.tail_bound bounds the log of the closure's error by
+K P(eta)^2 from the mask and G alone, and J is the smallest depth that takes
+this below tol for every row of the batch.
+
+Singularities: mu, G/P and G4/P have removable 0/0 points on 2 pi Z^d (resp.
+at 0).  G is evaluated in its sin form, so the quotients stay exact next to
+them; below LIMIT_RADIUS, where the squares underflow, their limits (1, 1
+and 0) are used.  Query rows with a NaN or infinite coordinate give NaN.
 """
 
 from __future__ import annotations
@@ -31,8 +50,9 @@ from .matana import DilationMatrix, QuadraticForm
 from .trigpoly import TrigPoly
 
 TWO_PI = 2.0 * math.pi
-# |eta| below which mu and G/P return their limit 1: there the squares in the
-# sin-form quotients underflow (at |eta| = 1e-160 they are off by 1e-3).
+# |eta| below which mu, G/P and the closure return their limit 1: there the
+# squares in the sin-form quotients underflow (at |eta| = 1e-160 they are off
+# by 1e-3).
 LIMIT_RADIUS = 1e-150
 DEFAULT_TOL = 1e-9
 # Rows per block of estimate_B's tensor grid pass: each block gathers its rows
@@ -73,30 +93,63 @@ class SpectralProfile:
         return self.A.inv_T
 
     @functools.cached_property
-    def tail_C(self) -> float:
-        """Calibrated C with |mu - 1| <= C P on the cell and the unit P-ellipsoid.
+    def second_moment(self) -> np.ndarray:
+        """S with A S A^T - S = V, where V = sum_k c_k k k^T over the mask m0.
 
-        Theory only guarantees such a constant exists; this one is an empirical
-        max of |mu - 1| / P over a dense sample.  It controls the geometric
-        tail of the infinite product.
+        Then sum_{j>=1} (B^j eta)^T V (B^j eta) = eta^T S eta for B = A^{-T}.
+        One d^2 x d^2 solve of (A kron A - I) vec S = vec V, which is
+        nonsingular: every eigenvalue of A kron A has modulus q^{2/d} > 1.
         """
+        k, c = self.m0.K.astype(float), self.m0.C.real
+        A = self.A.entries.astype(float)
         d = self.d
-        rng = np.random.default_rng(1234)
-        pts = []
-        # Fundamental cell grid (avoid the lattice point itself).
-        axes = [np.linspace(-math.pi, math.pi, 41) for _ in range(d)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        keep = np.sum(grid * grid, axis=1) > 1e-4
-        pts.append(grid[keep])
-        # Unit P-ellipsoid samples: random directions, radii spread to the boundary.
-        dirs = rng.normal(size=(400, d))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        pdir = matana.eval_P(self.Q2, dirs)
-        for t in (0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 1.0):
-            pts.append(dirs * (t / np.sqrt(pdir))[:, None])
-        pts = np.vstack(pts)
-        vals = np.abs(mu(self, pts) - 1.0) / matana.eval_P(self.Q2, pts)
-        return float(np.max(vals)) * 1.05 + 1e-12
+        V = (k.T * c) @ k
+        return np.linalg.solve(np.kron(A, A) - np.eye(d * d), V.ravel()).reshape(d, d)
+
+    @functools.cached_property
+    def tail_bound(self) -> tuple[float, float]:
+        """(K, p_max): the log of the closure's error is at most K P(eta)^2
+        wherever P(eta) <= p_max, for both products (module docstring).
+
+        With w_k = k^T (Q^2)^{-1} k, Cauchy-Schwarz gives (k.z)^2 <= w_k P(z),
+        and for real t, |1 - cos t - t^2/2| <= t^4/24 and
+        |1 - cos t - t^2/2 + t^4/24| <= t^6/720.  For |u| <= 1/2,
+        |log(1 - u) + u| <= u^2.
+
+        Mask, at z = B^j eta, j >= 1, where P(z) = rho^j P(eta), rho = q^{-2/d}:
+        u = 1 - m0(z) = z^T V z / 2 + r with |r| <= a4 P(z)^2 and
+        |u| <= a2 P(z) + a4 P(z)^2, where a2 = sum |c_k| w_k / 2 and
+        a4 = sum |c_k| w_k^2 / 24.  So |log m0(z) + z^T V z / 2| <=
+        (a4 + (a2 + a4 P(z))^2) P(z)^2, and the sum over j >= 1 carries the
+        factor rho^2 / (1 - rho^2).
+
+        G, at eta: G / P = 1 + x with x = G4 / P + R6 / P, |G4| <= b4 P^2 and
+        |R6| <= b6 P^3, where b4 = sum |g_k| w_k^2 / 24 and
+        b6 = sum |g_k| w_k^3 / 720 over G's coefficients.  So
+        |log(G / P) - G4 / P| <= (b6 + (b4 + b6 P)^2) P^2.
+
+        p_max is the largest P(eta) at which these bounds keep |u| <= 1/2 at
+        B eta and |x| <= 1/2 at eta; K takes both constants at p_max.
+        """
+        Q2_inv = np.linalg.inv(self.Q2.Q2)
+
+        def weighted(poly, *powers):
+            k = poly.K.astype(float)
+            w = np.einsum("ni,ij,nj->n", k, Q2_inv, k)
+            return [float(np.abs(poly.C.real) @ w ** n) for n in powers]
+
+        def reach(lin, quad):
+            """Largest p >= 0 with lin p + quad p^2 <= 1/2."""
+            return 1.0 / (lin + math.sqrt(lin * lin + 2.0 * quad))
+
+        c1, c2 = weighted(self.m0, 1, 2)
+        g2, g3 = weighted(self.G, 2, 3)
+        a2, a4, b4, b6 = c1 / 2.0, c2 / 24.0, g2 / 24.0, g3 / 720.0
+        rho = self.q ** (-2.0 / self.d)
+        p_max = min(reach(a2 * rho, a4 * rho * rho), reach(b4, b6))
+        k_mask = a4 + (a2 + a4 * rho * p_max) ** 2
+        k_G = b6 + (b4 + b6 * p_max) ** 2
+        return k_mask * rho * rho / (1.0 - rho * rho) + k_G, p_max
 
 
 def make_profile(matrix, m: int = 1, tol: float = DEFAULT_TOL) -> SpectralProfile:
@@ -183,38 +236,58 @@ def mu(profile: SpectralProfile, x: np.ndarray) -> np.ndarray:
 
 
 def mu_quadratic_constant(profile: SpectralProfile) -> float:
-    """The profile's tail constant C: see SpectralProfile.tail_C."""
-    return profile.tail_C
+    """The constant K of the closure's bound: see SpectralProfile.tail_bound."""
+    return profile.tail_bound[0]
 
 
 def _truncation_depth(profile: SpectralProfile, x: np.ndarray, tol: float | None) -> int:
-    """Smallest J with the geometric tail bound C q^{-2J/d} P < tol for every row of x.
+    """Smallest J >= 0 at which eta = B^{J+1} xi has K P(eta)^2 <= log(1 + tol)
+    and P(eta) <= p_max for every row xi of x (SpectralProfile.tail_bound).
 
-    At least 3; raises ConfigError when it exceeds MAX_DEPTH.
+    Then the closure moves phi_hat_1 and M by a factor within
+    [1/(1 + tol), 1 + tol].  Raises ConfigError when J exceeds MAX_DEPTH.
     """
     if tol is None:
         tol = profile.truncation_tol
     if tol <= 0:
         raise ValueError("tol must be positive")
-    pmax = max(float(np.max(matana.eval_P(profile.Q2, x))) if len(x) else 0.0, 1e-300)
-    C = mu_quadratic_constant(profile)
-    ratio = profile.q ** (-2.0 / profile.d)
-    budget = tol * (1.0 - ratio) / (2.0 * C)
-    # Also force the first tail point inside the unit P-ellipsoid.
-    target = max(pmax / budget, pmax, 1.0)
-    J = int(math.ceil(math.log(target) / math.log(1.0 / ratio))) + 1
+    pmax = float(np.max(matana.eval_P(profile.Q2, x))) if len(x) else 0.0
+    K = mu_quadratic_constant(profile)
+    reach = min(profile.tail_bound[1], math.sqrt(math.log1p(tol) / K))
+    J = 0
+    if pmax > reach:
+        # P(B^{J+1} xi) = q^{-2(J+1)/d} P(xi).
+        levels = math.log(pmax / reach) / math.log(profile.q ** (2.0 / profile.d))
+        J = math.ceil(levels) - 1
     if J > MAX_DEPTH:
         raise ConfigError(f"truncation depth {J} for tol {tol:.3g} exceeds "
                           f"MAX_DEPTH = {MAX_DEPTH}")
-    return max(J, 3)
+    return J
+
+
+def _closure(profile: SpectralProfile, eta: np.ndarray, with_G_over_P: bool) -> np.ndarray:
+    """exp(h(eta)), times (G/P)(eta) if with_G_over_P, for the rows of eta.
+
+    Rows below LIMIT_RADIUS get the limit 1.
+    """
+    out = np.ones(len(eta))
+    far = np.sum(eta * eta, axis=1) >= LIMIT_RADIUS ** 2
+    e = eta[far]
+    P = matana.eval_P(profile.Q2, e)
+    h = (-0.5 * np.einsum("ni,ij,nj->n", e, profile.second_moment, e)
+         - profile.G.quartic_form(e) / (24.0 * P))
+    out[far] = np.exp(h)
+    if with_G_over_P:
+        out[far] *= trigpoly.eval_G_stable(profile.Q2, e) / P
+    return out
 
 
 @_pointwise
 def M_eval(profile: SpectralProfile, x: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Infinite product M(xi) = prod_j mu((A^{-T})^j xi), truncated below tol.
+    """Infinite product M(xi) = prod_j mu((A^{-T})^j xi), to a relative tol.
 
-    The truncation depth comes from |mu - 1| <= C P and the invariance
-    P(A^{-T} xi) = q^{-2/d} P(xi), so the dropped tail is a geometric series.
+    The first J + 1 factors are multiplied out and the tail is closed with
+    exp(h(B^{J+1} xi)) (module docstring); J comes from _truncation_depth.
     """
     J = _truncation_depth(profile, x, tol)
     out = np.ones(len(x))
@@ -223,17 +296,18 @@ def M_eval(profile: SpectralProfile, x: np.ndarray, tol: float | None = None) ->
     for _ in range(J + 1):
         out *= mu(profile, cur)
         cur = cur @ B.T
-    return out
+    return out * _closure(profile, cur, with_G_over_P=False)
 
 
 @_pointwise
 def phi_hat(profile: SpectralProfile, x: np.ndarray, tol: float | None = None,
             order: int | None = None) -> np.ndarray:
-    """phi_hat^m(xi) = (G(xi)/P(xi))^m M(xi)^m, truncated below tol as M_eval is.
+    """phi_hat^m(xi) = (G(xi)/P(xi))^m M(xi)^m, with phi_hat_1 to a relative tol.
 
-    Evaluated in the telescoped form of the module docstring.  The origin
-    returns 1 and exact nonzero lattice points return 0.  Values are
-    nonnegative up to the rounding of m0 next to its zeros (about 1e-16).
+    Evaluated in the telescoped form of the module docstring, closed with
+    (G/P)(eta) exp(h(eta)) at eta = B^{J+1} xi.  The origin returns 1 and
+    exact nonzero lattice points return 0.  Values are nonnegative up to the
+    rounding of m0 next to its zeros (about 1e-16).
     """
     m = profile.m if order is None else order
     if m < 0:
@@ -245,9 +319,7 @@ def phi_hat(profile: SpectralProfile, x: np.ndarray, tol: float | None = None,
     for _ in range(J + 1):
         cur = cur @ B.T
         base *= profile.m0.eval_real(cur)
-    far = np.sum(cur * cur, axis=1) >= LIMIT_RADIUS ** 2
-    base[far] *= (trigpoly.eval_G_stable(profile.Q2, cur[far])
-                  / matana.eval_P(profile.Q2, cur[far]))
+    base *= _closure(profile, cur, with_G_over_P=True)
     # Exact lattice points: clamp the rounding dust of the vanishing factors.
     eta, k = _reduce_torus(x)
     lattice = np.max(np.abs(eta), axis=1) == 0.0

@@ -138,6 +138,18 @@ class TrigPoly:
             vals += np.sin(ph) @ beta.imag
         return float(vals[0]) if x.ndim == 1 else vals
 
+    def quartic_form(self, xi) -> np.ndarray:
+        """sum_k Re(c_k) (k.xi)^4 at the rows of xi (N, d), from the folded terms.
+
+        For a real even polynomial p this is 24 times the quartic Taylor term
+        of p at 0.  The power is taken as two squarings of the phase matrix.
+        """
+        H, alpha, _, _ = self._folded
+        y = np.atleast_2d(np.asarray(xi, dtype=float)) @ H.T
+        y *= y
+        y *= y
+        return y @ alpha.real
+
     def eval_at_two_pi(self, s) -> complex:
         """Evaluate at xi = 2 pi s for exact rational s, with compensated sums.
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ellipsf import cli, spectral, trigpoly
+from ellipsf import cascade, cli, spectral, trigpoly
 from ellipsf.errors import MaskPoleAtDigit
 
 import helpers
@@ -203,9 +203,12 @@ def test_oversize_level_is_a_config_error(capsys, tmp_path, command):
 
 def test_truncation_depth_past_the_cap_is_a_config_error(capsys, tmp_path):
     # At the cap the non_decay check would fail for want of depth, not of decay;
-    # report computes every document before it writes any file.  1e-119 passes
+    # report computes every document before it writes any file.  1e-239 passes
     # at P = 1 and fails only at the larger P of verify's [-6 pi, 6 pi]^d grid.
-    for command, tol in (("verify", "1e-300"), ("report", "1e-300"), ("report", "1e-119")):
+    profile = spectral.make_profile(cli.parse_matrix("1,-1;1,1"))
+    at_P_1 = spectral._truncation_depth(profile, np.array([[1.0, 0.0]]), 1e-239)
+    assert at_P_1 <= spectral.MAX_DEPTH
+    for command, tol in (("verify", "1e-300"), ("report", "1e-300"), ("report", "1e-239")):
         out = tmp_path / f"{command}-{tol}"
         code = cli.main([command, "--matrix", "1,-1;1,1", "--J", "3", "--tol", tol,
                          "--out", str(out)])
@@ -232,6 +235,23 @@ def test_report_builds_one_profile_and_one_B(capsys, tmp_path, monkeypatch):
     verify = json.loads((tmp_path / "verify.json").read_text())
     riesz = next(c for c in verify["checks"] if c["name"] == "riesz_basis")
     assert riesz["residual"] == spectrum["B"]
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_job_checks_its_level_once(command, capsys, tmp_path, monkeypatch):
+    # The CLI hands check_level's (rc, box) to run_all; the cascades of other
+    # orders and levels (convolution's phi^{2m}) still check their own.
+    calls = []
+    original = cascade.check_level
+
+    def counted(A, m0, m, J):
+        calls.append((m, J))
+        return original(A, m0, m, J)
+    monkeypatch.setattr(cascade, "check_level", counted)
+    code, _ = run_cli(capsys, command, "--matrix", "1,-2;1,0", "--m", "2", "--J", "4",
+                      "--grid-n", "64", "--out", str(tmp_path))
+    assert code == 0
+    assert calls.count((2, 4)) == 1
 
 
 @pytest.mark.parametrize("matrix", ["1,-2;1,0", "2,0;0,2"])

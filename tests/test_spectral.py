@@ -1,10 +1,11 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ellipsf import matana, spectral
+from ellipsf import matana, spectral, trigpoly
 from ellipsf.errors import ConfigError, NotIsotropic
 from ellipsf.spectral import M_eval, estimate_B, mu, phi_hat, riesz_verdict
 
@@ -58,15 +59,63 @@ def test_mu_bounds_and_periodicity(name, profiles):
     assert np.max(np.abs(mu(p, sub + shift) - mu(p, sub))) < 1e-10
 
 
-@pytest.mark.parametrize("name", ["A1", "A3", "A4"])
-def test_mu_quadratic_sandwich(name, profiles, rng):
-    p = profiles(name)
-    C = spectral.mu_quadratic_constant(p)
-    pts = rng.uniform(-math.pi, math.pi, size=(2000, p.d))
-    P = matana.eval_P(p.Q2, pts)
-    vals = mu(p, pts)
-    assert np.all(vals >= 1 - C * P - 1e-9)
-    assert np.all(vals <= 1 + C * P + 1e-9)
+def _sin_form_quartic(p, eta):
+    """G4 from G's sin form: 4 sin^2(x/2) = x^2 - x^4/12 + ... and
+    sin x sin y = x y - (x^3 y + x y^3)/6 + ..."""
+    Q2 = p.Q2.Q2
+    out = -np.sum(np.diag(Q2) * eta ** 4, axis=1) / 12
+    for i in range(p.d):
+        for j in range(i + 1, p.d):
+            out -= Q2[i, j] * (eta[:, i] ** 3 * eta[:, j] + eta[:, i] * eta[:, j] ** 3) / 3
+    return out
+
+
+def _closure_free_phi_hat_1(p, x, levels=160):
+    """prod_{j=1..levels} m0(B^j x): at 160 levels P(B^j x) is below 1e-28 P(x)."""
+    out = np.ones(len(x))
+    for _ in range(levels):
+        x = x @ p.contraction.T
+        out *= p.m0.eval_real(x)
+    return out
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "A4", "C3"])
+def test_mu_quadratic_sandwich(name, any_profile, rng):
+    # mu_quadratic_constant is the K of the closure's bound:
+    # |log phi_hat_1(eta) - log (G/P)(eta) - h(eta)| <= K P(eta)^2 for P(eta) <= p_max.
+    p = any_profile(name, 1)
+    K, p_max = p.tail_bound
+    assert spectral.mu_quadratic_constant(p) == K
+    dirs = _directions(2000, p.d, rng)
+    P = p_max * rng.uniform(0, 1, size=2000) ** 2
+    P[:10] = p_max
+    eta = dirs * np.sqrt(P / matana.eval_P(p.Q2, dirs))[:, None]
+    G = trigpoly.eval_G_stable(p.Q2, eta)
+    h = -0.5 * np.einsum("ni,ij,nj->n", eta, p.second_moment, eta) - _sin_form_quartic(p, eta) / P
+    closure = spectral._closure(p, eta, with_G_over_P=True)
+    assert np.allclose(closure, G / P * np.exp(h), rtol=1e-14, atol=0)
+    err = np.log(_closure_free_phi_hat_1(p, eta)) - np.log(closure)
+    # 1e-13 is the rounding of the 160 factors, which dominates at small P.
+    assert np.all(np.abs(err) <= K * P ** 2 + 1e-13)
+
+
+@pytest.mark.parametrize("name,m", [(name, m) for name in ("A1", "A3", "A4", "uni")
+                                    for m in (1, 2)])
+def test_second_moment_solves_stein_and_matches_the_lattice_moments(name, m, profiles, grids):
+    p = profiles(name, m)
+    S = p.second_moment
+    A = p.A.entries.astype(float)
+    k, c = p.m0.K.astype(float), p.m0.C.real
+    assert np.allclose(A @ S @ A.T - S, (k.T * c) @ k, rtol=0, atol=1e-14)
+    # phi^m has second-moment matrix m S.  Its level-J lattice sums of
+    # x x^T phi^m(x) q^{-J} are exact for quadratics once m >= 2 (Strang-Fix
+    # order 2m), and converge at m = 1.
+    g = grids(name, m, 5)
+    x = g.index_points @ np.linalg.inv(p.A.power(5).astype(float)).T
+    moments = (x.T * (g.values * g.quadrature_weight)) @ x
+    assert np.allclose(moments, m * S, rtol=0, atol=1e-13 if m >= 2 else 2e-2)
+    if name == "uni":
+        assert S[0, 0] == pytest.approx(1 / 6, abs=1e-15)  # the hat function's variance
 
 
 def test_M_at_zero_is_one(profiles):
@@ -96,8 +145,9 @@ def test_truncation_past_max_depth_is_rejected(profiles):
     p = profiles("A1")
     x = np.array([[1.0, 0.5]])
     assert spectral._truncation_depth(p, x, 1e-100) <= spectral.MAX_DEPTH
-    # q = 2, d = 2: each level gains a factor 2, so 1e-300 needs about 1000.
-    with pytest.raises(ConfigError, match=r"truncation depth 9\d\d for tol 1e-300"):
+    # q = 2, d = 2: each level halves P and quarters K P^2, so 1e-300 needs
+    # about 500.
+    with pytest.raises(ConfigError, match=r"truncation depth 49\d for tol 1e-300"):
         spectral._truncation_depth(p, x, 1e-300)
     for f in (M_eval, phi_hat):
         with pytest.raises(ConfigError):
@@ -201,20 +251,44 @@ def test_mu_and_phi_hat_reach_their_limit_near_origin(name, m, any_profile, rng)
     assert phi_hat(p, lattice).tolist() == [1.0, 0.0]
 
 
+def _reference_points(d):
+    """2000 seeded points on [-4 pi, 4 pi]^d and 60 near-lattice points, the
+    first ten next to the origin."""
+    rng = np.random.default_rng(2024)
+    pts = rng.uniform(-4 * math.pi, 4 * math.pi, size=(2000, d))
+    k = rng.integers(-3, 4, size=(60, d)).astype(float)
+    k[:10] = 0.0
+    r = 10.0 ** rng.uniform(-9, -3, size=60)
+    return np.vstack([pts, 2 * math.pi * k + r[:, None] * _directions(60, d, rng)])
+
+
 @pytest.mark.parametrize("name,m", LIMIT_CASES)
 def test_phi_hat_within_tol_of_deep_reference(name, m, any_profile):
     p = any_profile(name, m)
-    rng = np.random.default_rng(2024)
-    pts = rng.uniform(-4 * math.pi, 4 * math.pi, size=(2000, p.d))
-    # Near-lattice points, the first ten next to the origin.
-    k = rng.integers(-3, 4, size=(60, p.d)).astype(float)
-    k[:10] = 0.0
-    r = 10.0 ** rng.uniform(-9, -3, size=60)
-    near = 2 * math.pi * k + r[:, None] * _directions(60, p.d, rng)
-    x = np.vstack([pts, near])
-    got = phi_hat(p, x)
-    ref = phi_hat(p, x, tol=1e-14)
-    assert np.all(np.abs(got - ref) <= p.truncation_tol * np.abs(ref))
+    x = _reference_points(p.d)
+    ref = _closure_free_phi_hat_1(p, x) ** m
+    assert np.all(np.abs(phi_hat(p, x) - ref) <= p.truncation_tol * np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "uni", "C3"])
+def test_M_within_tol_of_deep_reference(name, any_profile):
+    p = any_profile(name, 1)  # M does not depend on the order m
+    x = _reference_points(p.d)
+    ref = np.ones(len(x))
+    cur = x
+    for _ in range(160):
+        ref *= mu(p, cur)
+        cur = cur @ p.contraction.T
+    assert np.all(np.abs(M_eval(p, x) - ref) <= p.truncation_tol * np.abs(ref))
+
+
+@pytest.mark.parametrize("name,most", [("A1", 22), ("C3", 34)])
+def test_derived_depth_halves_the_levels(name, most, any_profile):
+    # The sampled tail constant and the G/P closure needed 38 levels for A1
+    # and 59 for C3 at these corners and the default tol 1e-9.
+    p = any_profile(name, 1)
+    corners = 4 * math.pi * np.array(list(itertools.product((-1.0, 1.0), repeat=p.d)))
+    assert spectral._truncation_depth(p, corners, None) <= most
 
 
 @pytest.mark.parametrize("fn", [mu, M_eval, phi_hat], ids=["mu", "M_eval", "phi_hat"])
