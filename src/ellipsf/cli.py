@@ -168,11 +168,8 @@ def cmd_eval(cfg: JobConfig):
 
 
 def cmd_verify(cfg: JobConfig, profile: spectral.SpectralProfile, B: float, level: tuple):
-    pc = properties.PropertyConfig(J=cfg.J, seed=cfg.seed)
-    report = properties.run_all(profile, B, pc, level)
-    # Runtimes are left out of the emitted report: outputs must be
-    # byte-identical for a fixed config and seed.
-    doc = {"seed": cfg.seed, "J": cfg.J, **report.to_json(include_runtime=False)}
+    report = properties.run_all(profile, B, cfg.J, cfg.seed, level)
+    doc = {"seed": cfg.seed, "J": cfg.J, **report.to_json()}
     code = EXIT_OK if report.passed else EXIT_PROPERTY_FAILURE
     return code, [("verify.json", ioutils.emit_json(doc))]
 
@@ -215,8 +212,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_matrix_values(argv: list) -> list:
+    """Spell each "--matrix VALUE" as "--matrix=VALUE".
+
+    argparse takes a value that starts with "-", as in "-1,1;-1,-1", for an
+    option and reports --matrix as missing its argument; joined, it parses.
+    """
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--matrix" else None
+        out.append(tok if value is None else f"{tok}={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_matrix_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = load_config(args.config, args)
     except (ConfigError, OSError, json.JSONDecodeError, TypeError) as exc:

@@ -2,14 +2,14 @@
 
 Each check_* function measures one claimed property of a scaling function and
 returns a residual; run_all executes the whole battery against a profile with
-pinned tolerances and collects a PropertyReport.  Checks never panic on a
-failing property: failures and skips are values in the report.
+the pinned tolerances below and collects a PropertyReport.  Checks never panic
+on a failing property: failures and skips are values in the report.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import time
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -20,6 +20,23 @@ from .cascade import LatticeGrid
 from .errors import ConfigError, DegreeTooHigh, NonSimpleEigenvalue
 from .spectral import SpectralProfile
 from .trigpoly import TrigPoly
+
+# Pinned settings of run_all; verify.json prints each check's tolerance.  A
+# tolerance is a ceiling on the residual, except the two floors
+# (nonnegativity, positivity).
+TOL_MASS = 1e-6
+TOL_PARTITION = 1e-8
+TOL_INTERPOLATION = 1e-10
+TOL_NONNEGATIVITY = -1e-10
+TOL_POSITIVITY = -1e-10
+TOL_STRANG_FIX = 1e-6
+TOL_REFINEMENT = 1e-8
+NON_DECAY_FACTOR = 10  # non_decay's tolerance is this times truncation_tol
+TOL_CONVOLUTION = 5e-3
+TOL_OPERATOR = 1e-6
+TOL_REPRODUCTION = 1e-5
+POSITIVITY_GRID_N = 64
+PARTITION_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -86,7 +103,8 @@ _PARTITION_MIN_J = 3
 _NO_PARTITION_LEVEL = f"need J >= {_PARTITION_MIN_J}"
 
 
-def check_partition_of_unity(grid: LatticeGrid, n_samples: int = 50, seed: int = 0) -> float:
+def check_partition_of_unity(grid: LatticeGrid, n_samples: int = PARTITION_SAMPLES,
+                             seed: int = 0) -> float:
     """Max over sample points of |sum_k phi(x - k) - 1|."""
     if grid.J < _PARTITION_MIN_J:
         raise ValueError(_NO_PARTITION_LEVEL)
@@ -104,7 +122,8 @@ def check_partition_of_unity(grid: LatticeGrid, n_samples: int = 50, seed: int =
     return worst
 
 
-def check_total_positivity(profile: SpectralProfile, grid_n: int = 64) -> float:
+def check_total_positivity(profile: SpectralProfile,
+                           grid_n: int = POSITIVITY_GRID_N) -> float:
     """Min of phi_hat over a [-6 pi, 6 pi]^d grid; totally positive means >= 0."""
     axes = [np.linspace(-6 * math.pi, 6 * math.pi, grid_n) for _ in range(profile.d)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, profile.d)
@@ -123,18 +142,10 @@ def check_strang_fix(profile: SpectralProfile, step: float = 1e-3) -> float:
     ks = [k for k in product(range(-2, 3), repeat=d) if any(k)]
     worst = 0.0
     for n in _monomial_exponents(d, max_order):
-        axes = []
-        for ni in n:
-            if ni == 0:
-                axes.append(([0], np.array([1.0])))
-            else:
-                axes.append((nodes, _fd_weights(nodes, ni) / step ** ni))
+        axes = [([0], np.ones(1)) if ni == 0 else (nodes, _fd_weights(nodes, ni) / step ** ni)
+                for ni in n]
         offs = np.array(list(product(*(a[0] for a in axes))), dtype=float)
-        w = np.ones(len(offs))
-        for pos, (_, wts) in enumerate(axes):
-            reps = [len(a[0]) for a in axes]
-            col = np.array(list(product(*(range(r) for r in reps))))[:, pos]
-            w *= np.asarray(wts)[col]
+        w = functools.reduce(np.multiply.outer, [a[1] for a in axes]).ravel()
         base = 2 * math.pi * np.array(ks, dtype=float)
         pts = (base[:, None, :] + step * offs[None, :, :]).reshape(-1, d)
         vals = spectral.phi_hat(profile, pts).reshape(len(ks), len(offs))
@@ -398,38 +409,16 @@ def check_approximation_order(profile: SpectralProfile, levels=(2, 3, 4),
 # Harness.
 
 @dataclass
-class PropertyConfig:
-    J: int = 5
-    grid_n: int = 64
-    n_samples: int = 50
-    seed: int = 0
-    approx_levels: tuple | None = None
-    tol_partition: float = 1e-8
-    tol_positivity: float = -1e-10
-    tol_strang_fix: float = 1e-6
-    tol_refinement: float = 1e-8
-    tol_convolution: float = 5e-3
-    tol_interpolation: float = 1e-10
-    tol_operator: float = 1e-6
-    tol_reproduction: float = 1e-5
-    tol_mass: float = 1e-6
-
-
-@dataclass
 class CheckResult:
     name: str
     status: str  # "pass" | "fail" | "skip"
     residual: float | None
     tolerance: float | None
-    runtime: float
     note: str = ""
 
-    def to_json(self, include_runtime: bool = True) -> dict:
-        doc = {"name": self.name, "status": self.status, "residual": self.residual,
-               "tolerance": self.tolerance, "note": self.note}
-        if include_runtime:
-            doc["runtime_s"] = self.runtime
-        return doc
+    def to_json(self) -> dict:
+        return {"name": self.name, "status": self.status, "residual": self.residual,
+                "tolerance": self.tolerance, "note": self.note}
 
 
 @dataclass
@@ -442,9 +431,9 @@ class PropertyReport:
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def to_json(self, include_runtime: bool = True) -> dict:
+    def to_json(self) -> dict:
         return {"matrix": self.matrix, "m": self.m, "passed": self.passed,
-                "checks": [c.to_json(include_runtime) for c in self.checks]}
+                "checks": [c.to_json() for c in self.checks]}
 
 
 def _mask_is_interpolating(profile: SpectralProfile) -> bool:
@@ -458,31 +447,31 @@ def _mask_is_interpolating(profile: SpectralProfile) -> bool:
     return all(abs(c) <= 1e-12 for k, c in cmap.items() if k != zero)
 
 
-def run_all(profile: SpectralProfile, B: float, config: PropertyConfig | None = None,
+def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0,
             level: tuple | None = None) -> PropertyReport:
     """Execute every check against the profile; failures are report entries.
 
     B is the supremum of mu from spectral.estimate_B; the riesz_basis check
-    compares it with the paper's threshold.  level, if given, is
-    cascade.check_level's (rc, box) for profile.m and config.J, as a caller
-    that has already checked the level holds it; otherwise it is computed.
+    compares it with the paper's threshold.  The cascade checks run at level
+    J, and seed draws their sample points.  level, if given, is
+    cascade.check_level's (rc, box) for profile.m and J, as a caller that has
+    already checked the level holds it; otherwise it is computed.
     """
-    cfg = config or PropertyConfig()
     report = PropertyReport([[int(v) for v in row] for row in profile.A.entries], profile.m)
     # An oversize level is a bad request, not a property verdict: it raises
     # ConfigError here, before any check runs.
     grid = grid0 = grid_err = None
     try:
-        rc, box = level or cascade.check_level(profile.A, profile.m0, profile.m, cfg.J)
+        rc, box = level or cascade.check_level(profile.A, profile.m0, profile.m, J)
     except ConfigError:
         raise
     except Exception as exc:
         grid_err = exc
 
-    def record(name, fn, tolerance, predicate, skip_reason=None, note=None):
-        t0 = time.perf_counter()
+    def record(name, fn, tolerance, skip_reason=None, note=None, passes=None):
+        """Run fn and file its residual; by default it passes at or below tolerance."""
         if skip_reason is not None:
-            report.checks.append(CheckResult(name, "skip", None, tolerance, 0.0, skip_reason))
+            report.checks.append(CheckResult(name, "skip", None, tolerance, skip_reason))
             return
         try:
             residual = fn()
@@ -490,88 +479,68 @@ def run_all(profile: SpectralProfile, B: float, config: PropertyConfig | None = 
             raise  # e.g. a truncation depth past spectral.MAX_DEPTH
         except NonSimpleEigenvalue as exc:
             report.checks.append(CheckResult(
-                name, "skip", None, tolerance, time.perf_counter() - t0,
-                f"NonSimpleEigenvalue: {exc}"))
+                name, "skip", None, tolerance, f"NonSimpleEigenvalue: {exc}"))
             return
         except Exception as exc:  # aggregated, never panics
             report.checks.append(CheckResult(
-                name, "fail", None, tolerance, time.perf_counter() - t0,
-                f"{type(exc).__name__}: {exc}"))
+                name, "fail", None, tolerance, f"{type(exc).__name__}: {exc}"))
             return
-        status = "pass" if predicate(residual) else "fail"
+        ok = passes(residual) if passes else residual <= tolerance
         report.checks.append(CheckResult(
-            name, status, float(residual), tolerance, time.perf_counter() - t0,
+            name, "pass" if ok else "fail", float(residual), tolerance,
             note() if note else ""))
 
     # Riesz verdict first: it needs no cascade and fails honestly for
     # constructions that only exist as distributions.
     record("riesz_basis", lambda: B, None,
-           lambda _: bool(spectral.riesz_verdict(profile, B)[0]))
+           passes=lambda _: bool(spectral.riesz_verdict(profile, B)[0]))
 
     if grid_err is None:
         try:
             grid0 = grid = cascade.integer_values(profile.A, rc, box)
-            for _ in range(cfg.J):
+            for _ in range(J):
                 grid = cascade.refine(profile.A, rc, grid)
         except Exception as exc:
             grid_err = exc
             grid = grid0 = None
 
     skip = None if grid is not None else f"{type(grid_err).__name__}: {grid_err}"
-    record("mass", lambda: abs(grid.mass() - 1.0), cfg.tol_mass,
-           lambda r: r <= cfg.tol_mass, skip)
+    record("mass", lambda: abs(grid.mass() - 1.0), TOL_MASS, skip)
     record("partition_of_unity",
-           lambda: check_partition_of_unity(grid, cfg.n_samples, cfg.seed),
-           cfg.tol_partition, lambda r: r <= cfg.tol_partition,
-           skip or (None if cfg.J >= _PARTITION_MIN_J else _NO_PARTITION_LEVEL))
-
-    if skip is None and _mask_is_interpolating(profile) and profile.m == 1:
-        record("interpolation", lambda: check_interpolation(grid0),
-               cfg.tol_interpolation, lambda r: r <= cfg.tol_interpolation)
-    else:
-        record("interpolation", None, cfg.tol_interpolation, None,
-               skip or "mask is not interpolating")
-
-    if skip is None and all(v >= -1e-15 for v in rc.c.values()):
-        record("lattice_nonnegativity", lambda: check_nonnegativity(grid),
-               -1e-10, lambda r: r >= -1e-10)
-    else:
-        record("lattice_nonnegativity", None, -1e-10, None,
-               skip or "mask has negative coefficients")
-
-    record("total_positivity", lambda: check_total_positivity(profile, cfg.grid_n),
-           cfg.tol_positivity, lambda r: r >= cfg.tol_positivity)
-    record("strang_fix", lambda: check_strang_fix(profile),
-           cfg.tol_strang_fix, lambda r: r <= cfg.tol_strang_fix)
-    record("fourier_refinement",
-           lambda: check_fourier_refinement(profile, 100, cfg.seed),
-           cfg.tol_refinement, lambda r: r <= cfg.tol_refinement)
+           lambda: check_partition_of_unity(grid, seed=seed), TOL_PARTITION,
+           skip or (None if J >= _PARTITION_MIN_J else _NO_PARTITION_LEVEL))
+    record("interpolation", lambda: check_interpolation(grid0), TOL_INTERPOLATION,
+           skip or (None if _mask_is_interpolating(profile) and profile.m == 1
+                    else "mask is not interpolating"))
+    record("lattice_nonnegativity", lambda: check_nonnegativity(grid), TOL_NONNEGATIVITY,
+           skip or (None if all(v >= -1e-15 for v in rc.c.values())
+                    else "mask has negative coefficients"),
+           passes=lambda r: r >= TOL_NONNEGATIVITY)
+    record("total_positivity", lambda: check_total_positivity(profile), TOL_POSITIVITY,
+           passes=lambda r: r >= TOL_POSITIVITY)
+    record("strang_fix", lambda: check_strang_fix(profile), TOL_STRANG_FIX)
+    record("fourier_refinement", lambda: check_fourier_refinement(profile, seed=seed),
+           TOL_REFINEMENT)
     record("non_decay", lambda: check_non_decay(profile),
-           10 * profile.truncation_tol, lambda r: r <= 10 * profile.truncation_tol)
+           NON_DECAY_FACTOR * profile.truncation_tol)
     conv: dict = {}
     record("convolution",
-           lambda: check_convolution(profile, profile.m, profile.m, cfg.J,
+           lambda: check_convolution(profile, profile.m, profile.m, J,
                                      grid=grid, detail=conv),
-           cfg.tol_convolution, lambda r: r <= cfg.tol_convolution,
-           skip or (None if cfg.J >= 1 else _NO_COARSER_LEVEL),
-           lambda: (f"Richardson step from levels {cfg.J - 1} and {cfg.J} with "
-                    f"r = {conv['r']:.17g}; raw level-{cfg.J} rectangle-rule "
-                    f"deviation {conv['raw']:.17g} on the level-{cfg.J - 1} "
+           TOL_CONVOLUTION, skip or (None if J >= 1 else _NO_COARSER_LEVEL),
+           lambda: (f"Richardson step from levels {J - 1} and {J} with "
+                    f"r = {conv['r']:.17g}; raw level-{J} rectangle-rule "
+                    f"deviation {conv['raw']:.17g} on the level-{J - 1} "
                     f"points") if conv else "")
-
-    if profile.m >= 2:
-        record("operator_relation",
-               lambda: operators.verify_operator_relation(profile, profile.m, 1),
-               cfg.tol_operator, lambda r: r <= cfg.tol_operator)
-    else:
-        record("operator_relation", None, cfg.tol_operator, None,
-               "needs m >= 2 (k < m)")
+    record("operator_relation",
+           lambda: operators.verify_operator_relation(profile, profile.m, 1), TOL_OPERATOR,
+           None if profile.m >= 2 else "needs m >= 2 (k < m)")
 
     def reproduction():
         worst = 0.0
         for p, expect in reproduction_cases(profile):
             ok, _, fit = check_polynomial_reproduction(
-                profile, p, grid=grid, seed=cfg.seed)
+                profile, p, grid=grid, seed=seed)
             if ok != expect:
                 raise AssertionError(
                     f"degree-{p.total_degree} candidate: expected "
@@ -579,16 +548,7 @@ def run_all(profile: SpectralProfile, B: float, config: PropertyConfig | None = 
             if expect:
                 worst = max(worst, fit)
         return worst
-    record("polynomial_reproduction", reproduction, cfg.tol_reproduction,
-           lambda r: r <= cfg.tol_reproduction,
-           skip or (None if cfg.J >= 1 else _NO_OFF_INTEGER_LEVEL))
-
-    if cfg.approx_levels is not None:
-        target = 2 * profile.m - 0.4
-        def approx():
-            slope, _ = check_approximation_order(profile, cfg.approx_levels)
-            return math.inf if slope is None else slope
-        record("approximation_order", approx, target, lambda s: s >= target,
-               skip)
+    record("polynomial_reproduction", reproduction, TOL_REPRODUCTION,
+           skip or (None if J >= 1 else _NO_OFF_INTEGER_LEVEL))
 
     return report

@@ -2,8 +2,8 @@
 
 Provides the correction factor mu, its infinite product M along the
 contracting orbit of A^{-T}, the transform phi_hat = (G/P)^m M^m, the
-brute-force supremum B of mu, and the resulting Riesz-basis verdict with its
-decay exponent.
+supremum B of mu from a grid and a local zoom, and the resulting Riesz-basis
+verdict with its decay exponent.
 
 phi_hat is evaluated in its telescoped form.  With the contraction B = A^{-T},
 P(B xi) = q^{-2/d} P(xi) gives
@@ -38,6 +38,7 @@ and 0) are used.  Query rows with a NaN or infinite coordinate give NaN.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,8 @@ DEFAULT_TOL = 1e-9
 # and their sines from the per-axis tables, and its (N, d) gathers and m0's
 # (N, terms) phase array stay near the CPU caches.
 GRID_BLOCK = 1 << 14
+# Halvings of estimate_B's zoom step, from one grid cell down to 2^-26 cells.
+ZOOM_ROUNDS = 27
 # Deepest truncation of the infinite products; a tolerance or point that needs
 # more levels is rejected rather than served at a depth that misses it.
 MAX_DEPTH = 400
@@ -245,13 +248,17 @@ def _truncation_depth(profile: SpectralProfile, x: np.ndarray, tol: float | None
     and P(eta) <= p_max for every row xi of x (SpectralProfile.tail_bound).
 
     Then the closure moves phi_hat_1 and M by a factor within
-    [1/(1 + tol), 1 + tol].  Raises ConfigError when J exceeds MAX_DEPTH.
+    [1/(1 + tol), 1 + tol].  Raises ConfigError when J exceeds MAX_DEPTH or
+    P overflows on a row.
     """
     if tol is None:
         tol = profile.truncation_tol
     if tol <= 0:
         raise ValueError("tol must be positive")
     pmax = float(np.max(matana.eval_P(profile.Q2, x))) if len(x) else 0.0
+    if not math.isfinite(pmax):
+        raise ConfigError(f"P(xi) = {pmax} for a finite query row: no truncation "
+                          f"depth reaches tol {tol:.3g}")
     K = mu_quadratic_constant(profile)
     reach = min(profile.tail_bound[1], math.sqrt(math.log1p(tol) / K))
     J = 0
@@ -327,25 +334,6 @@ def phi_hat(profile: SpectralProfile, x: np.ndarray, tol: float | None = None,
     return base ** m
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60):
-    """Golden-section maximizer on [lo, hi]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
 def _mu_grid(profile: SpectralProfile, grid_n: int):
     """Yield (rows, mu(rows)) over the grid_n^d grid on [-pi, pi)^d, in C order.
 
@@ -380,37 +368,34 @@ def _mu_grid(profile: SpectralProfile, grid_n: int):
         yield rows, vals
 
 
-def estimate_B(profile: SpectralProfile, grid_n: int = 256, refine_iters: int = 12) -> float:
-    """Estimate B = sup mu over the torus by dense grid plus local refinement.
+def estimate_B(profile: SpectralProfile, grid_n: int = 256) -> float:
+    """Estimate B = sup mu over the torus by a dense grid plus a batched zoom.
 
     mu is 2 pi periodic, so the grid covers [-pi, pi)^d; _mu_grid evaluates it
-    from per-axis sine tables in blocks of GRID_BLOCK rows.  Refinement runs
-    coordinate-wise golden-section sweeps around the first grid maximum.  The
-    result is monotone in the observed values (never below the grid max).
+    from per-axis sine tables in blocks of GRID_BLOCK rows.  The zoom starts
+    at the first grid maximum with the step h of one grid cell.  Each round
+    evaluates mu on the 3^d points best + h {-1, 0, 1}^d in one call, moves to
+    their maximum if it beats the best value so far, and halves h, so it
+    moves at most 2 cells in all.  The result is never below the grid max.
     """
     if grid_n < 32:
         raise ValueError("grid_n must be >= 32")
-    d = profile.d
     best = -math.inf
     for block, vals in _mu_grid(profile, grid_n):
         i = int(np.argmax(vals))
         if vals[i] > best:  # strict: the first maximum wins, as in np.argmax
             best, best_x = float(vals[i]), block[i].copy()
-    cell = TWO_PI / grid_n
-    for _ in range(max(refine_iters, 0)):
-        moved = False
-        for axis in range(d):
-            def f1(t, axis=axis):
-                x = best_x.copy()
-                x[axis] = t
-                return mu(profile, x)
-            t, ft = _golden_max(f1, best_x[axis] - 2 * cell, best_x[axis] + 2 * cell)
-            if ft > best:
-                best = ft
-                best_x[axis] = t
-                moved = True
-        if not moved:
-            break
+    steps = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=profile.d)))
+    h = TWO_PI / grid_n
+    # Near a smooth maximum mu falls off as h^2, so once h is sqrt(eps) of a
+    # cell (2^-26) a further step changes mu below rounding.
+    for _ in range(ZOOM_ROUNDS):
+        pts = best_x + h * steps
+        vals = mu(profile, pts)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, best_x = float(vals[i]), pts[i]
+        h *= 0.5
     return best
 
 

@@ -75,7 +75,7 @@ def test_c03_B_constants(profiles):
     t0 = time.perf_counter()
     errs = {}
     for name, target in targets.items():
-        B = spectral.estimate_B(profiles(name), grid_n=256, refine_iters=12)
+        B = spectral.estimate_B(profiles(name), grid_n=256)
         errs[name] = abs(B - target)
     elapsed = time.perf_counter() - t0
     ok = max(errs.values()) < 1e-6 and elapsed < 5.0
@@ -92,12 +92,12 @@ def test_c04_riesz_verdicts(profiles):
     for name, (want_ok, want_decay) in expected.items():
         p = profiles(name)
         got_ok, _, decay = spectral.riesz_verdict(
-            p, spectral.estimate_B(p, grid_n=256, refine_iters=12))
+            p, spectral.estimate_B(p, grid_n=256))
         ok &= got_ok == want_ok and abs(decay - want_decay) < 5e-4
         details.append(f"{name}:{decay:+.5f}")
     p2 = profiles("A2")
     got_ok2, _, _ = spectral.riesz_verdict(
-        p2, spectral.estimate_B(p2, grid_n=256, refine_iters=12))
+        p2, spectral.estimate_B(p2, grid_n=256))
     ok &= got_ok2 is False
     assert _line(4, "Riesz verdicts and decay", ok, "(" + ", ".join(details) + ", A2 fails)")
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ellipsf import cascade, cli, spectral, trigpoly
+from ellipsf import cascade, cli, matana, spectral, trigpoly
 from ellipsf.errors import MaskPoleAtDigit
 
 import helpers
@@ -53,6 +54,33 @@ def test_analyze_singular_exit_2(capsys):
 def test_analyze_not_expanding_exit_2(capsys):
     code, _ = run_cli(capsys, "analyze", "--matrix", "1,0;0,1")
     assert code == 2
+
+
+def test_matrix_value_may_start_with_minus(capsys):
+    # argparse alone reads "-1,1;-1,-1" as an option and exits with a usage error.
+    joined = run_cli(capsys, "analyze", "--matrix=-1,1;-1,-1")
+    assert joined[0] == 0
+    assert run_cli(capsys, "analyze", "--matrix", "-1,1;-1,-1") == joined
+    assert run_cli(capsys, "mask", "--matrix", "-2") == run_cli(capsys, "mask", "--matrix=-2")
+
+
+@pytest.mark.parametrize("command", ["analyze", "mask"])
+def test_exit_codes_on_every_small_matrix(command, capsys):
+    """Every 2x2 matrix with entries in [-2, 2], passed as one argv token."""
+    codes = set()
+    for e in itertools.product(range(-2, 3), repeat=4):
+        A = [list(e[:2]), list(e[2:])]
+        code, _ = run_cli(capsys, command, "--matrix", f"{e[0]},{e[1]};{e[2]},{e[3]}")
+        moduli = np.abs(np.linalg.eigvals(np.array(A, dtype=float)))
+        if e[0] * e[3] - e[1] * e[2] == 0 or moduli.min() <= 1.0 + 1e-9:
+            assert code == 2, A
+            continue
+        isotropic = matana.certify_isotropy(matana.validate_dilation(A)).isotropic
+        assert code == (0 if isotropic else 3), A
+        # An isotropic matrix has eigenvalues of one modulus.
+        assert not isotropic or moduli.max() - moduli.min() < 1e-9, A
+        codes.add(code)
+    assert codes == {0, 3}
 
 
 def test_missing_matrix_exit_2(capsys):

@@ -73,7 +73,7 @@ def test_mask_vanishes_at_nonzero_digit_shifts(zoo_profile):
 def test_mu_is_one_on_lattice_and_bounded(zoo_profile):
     p = zoo_profile
     assert spectral.mu(p, 2 * math.pi * np.array([2.0, -1.0])) == pytest.approx(1.0, abs=1e-12)
-    B = spectral.estimate_B(p, grid_n=64, refine_iters=6)
+    B = spectral.estimate_B(p, grid_n=64)
     assert B >= 1.0 - 1e-12
     ax = np.linspace(-math.pi, math.pi, 41)
     grid = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)

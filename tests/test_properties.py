@@ -5,7 +5,7 @@ import pytest
 
 from ellipsf import cascade, properties, spectral
 from ellipsf.errors import DegreeTooHigh
-from ellipsf.properties import (Polynomial, PropertyConfig, check_approximation_order,
+from ellipsf.properties import (Polynomial, check_approximation_order,
                                 check_convolution, check_interpolation,
                                 check_partition_of_unity, check_polynomial_reproduction,
                                 check_strang_fix, check_total_positivity, run_all)
@@ -157,8 +157,8 @@ def test_diag_is_not_square_of_quincunx(profiles):
     assert helpers.coeff_dict_dist(m04.coeffs, product.coeffs) > 1e-3
 
 
-def _run_all(p, cfg):
-    return run_all(p, spectral.estimate_B(p, 128), cfg)
+def _run_all(p, **kwargs):
+    return run_all(p, spectral.estimate_B(p, 128), **kwargs)
 
 
 def _statuses(report):
@@ -166,7 +166,7 @@ def _statuses(report):
 
 
 def test_run_all_univariate_m2_all_pass(profiles):
-    report = _run_all(profiles("uni", 2), PropertyConfig(J=5))
+    report = _run_all(profiles("uni", 2), J=5)
     st = _statuses(report)
     assert report.passed
     assert st["riesz_basis"] == "pass"
@@ -176,7 +176,7 @@ def test_run_all_univariate_m2_all_pass(profiles):
 
 
 def test_run_all_quincunx_m1(profiles):
-    report = _run_all(profiles("A1", 1), PropertyConfig(J=5))
+    report = _run_all(profiles("A1", 1), J=5)
     st = _statuses(report)
     for name in ("riesz_basis", "mass", "partition_of_unity", "interpolation",
                  "lattice_nonnegativity", "total_positivity", "strang_fix",
@@ -192,7 +192,7 @@ def test_run_all_quincunx_m1(profiles):
 
 
 def test_run_all_convolution_skips_without_coarser_level(profiles):
-    report = _run_all(profiles("uni", 1), PropertyConfig(J=0))
+    report = _run_all(profiles("uni", 1), J=0)
     conv = next(c for c in report.checks if c.name == "convolution")
     assert conv.status == "skip"
     assert "J >= 1" in conv.note
@@ -200,7 +200,7 @@ def test_run_all_convolution_skips_without_coarser_level(profiles):
 
 @pytest.mark.parametrize("name,J", [("uni", 0), ("uni", 2), ("A1", 0), ("A1", 2)])
 def test_run_all_skips_checks_below_their_level(name, J, profiles):
-    report = _run_all(profiles(name, 1), PropertyConfig(J=J))
+    report = _run_all(profiles(name, 1), J=J)
     checks = {c.name: c for c in report.checks}
     assert (checks["partition_of_unity"].status, checks["partition_of_unity"].note) \
         == ("skip", "need J >= 3")
@@ -215,17 +215,16 @@ def test_run_all_skips_checks_below_their_level(name, J, profiles):
 
 
 def test_run_all_a2_riesz_fails_report_completes(profiles):
-    report = _run_all(profiles("A2", 1), PropertyConfig(J=4))
+    report = _run_all(profiles("A2", 1), J=4)
     st = _statuses(report)
     assert st["riesz_basis"] == "fail"
     assert not report.passed
     assert len(report.checks) >= 10  # every check reported something
-    doc = report.to_json(include_runtime=False)
+    doc = report.to_json()
     assert doc["passed"] is False
 
 
 def test_run_all_deterministic(profiles):
-    cfg = PropertyConfig(J=4, seed=11)
-    r1 = _run_all(profiles("A3", 1), cfg)
-    r2 = _run_all(profiles("A3", 1), cfg)
-    assert r1.to_json(include_runtime=False) == r2.to_json(include_runtime=False)
+    r1 = _run_all(profiles("A3", 1), J=4, seed=11)
+    r2 = _run_all(profiles("A3", 1), J=4, seed=11)
+    assert r1.to_json() == r2.to_json()

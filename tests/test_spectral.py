@@ -47,7 +47,7 @@ def test_mu_quincunx_grid_sup(profiles):
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4"])
 def test_mu_bounds_and_periodicity(name, profiles):
     p = profiles(name)
-    B = estimate_B(p, grid_n=128, refine_iters=8)
+    B = estimate_B(p, grid_n=128)
     ax = np.linspace(-3 * math.pi, 3 * math.pi, 201)
     grid = np.stack(np.meshgrid(*([ax] * p.d), indexing="ij"), axis=-1).reshape(-1, p.d)
     vals = mu(p, grid)
@@ -154,6 +154,16 @@ def test_truncation_past_max_depth_is_rejected(profiles):
             f(p, x, tol=1e-300)
 
 
+@pytest.mark.parametrize("fn", [M_eval, phi_hat], ids=["M_eval", "phi_hat"])
+@pytest.mark.parametrize("name,row,P", [("A1", [1e200, 0.0], "inf"),
+                                        ("A3", [1e200, -1e200], "(inf|nan)")],
+                         ids=["A1", "A3"])
+def test_overflowing_P_is_a_config_error(fn, name, row, P, profiles):
+    # A finite row whose P overflows needs more levels than any depth.
+    with pytest.raises(ConfigError, match=rf"P\(xi\) = {P} for a finite query row"):
+        fn(profiles(name), row)
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4"])
 def test_M_non_decay_along_digit_orbits(name, profiles):
     p = profiles(name)
@@ -171,7 +181,7 @@ def test_M_non_decay_along_digit_orbits(name, profiles):
 @pytest.mark.parametrize("name", ["A1", "A3", "A4"])
 def test_M_growth_bound(name, profiles, rng):
     p = profiles(name)
-    alpha = p.d * math.log(estimate_B(p, grid_n=128, refine_iters=8)) / math.log(p.q)
+    alpha = p.d * math.log(estimate_B(p, grid_n=128)) / math.log(p.q)
     ax = np.linspace(-math.pi, math.pi, 41)
     cell = np.stack(np.meshgrid(*([ax] * p.d), indexing="ij"), axis=-1).reshape(-1, p.d)
     C_fit = np.max(M_eval(p, cell) / (1 + np.linalg.norm(cell, axis=1)) ** alpha)
@@ -336,17 +346,20 @@ def test_grid_maximum_and_refinement_start_match_mu(name, grid_n, any_profile, m
     grid = _torus_grid(p.d, grid_n)
     ref = mu(p, grid)
     first = int(np.argmax(ref))
-    assert estimate_B(p, grid_n, refine_iters=0) == ref[first]
-    # Every sweep of a refinement that never moves is centred on the argmax.
-    spans = []
+    # A zoom that never moves returns the grid maximum, and each of its rounds
+    # is centred on the first argmax with a step halving from one cell.
+    calls = []
 
-    def recorder(f, lo, hi, iters=60):
-        spans.append((lo, hi))
-        return lo, -math.inf
-    monkeypatch.setattr(spectral, "_golden_max", recorder)
-    estimate_B(p, grid_n, refine_iters=1)
+    def never_better(profile, x):
+        calls.append(x)
+        return np.full(len(x), -np.inf)
+    monkeypatch.setattr(spectral, "mu", never_better)
+    assert estimate_B(p, grid_n) == ref[first]
+    steps = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=p.d)))
     cell = 2 * math.pi / grid_n
-    assert spans == [(x - 2 * cell, x + 2 * cell) for x in grid[first]]
+    assert len(calls) == spectral.ZOOM_ROUNDS
+    for k, x in enumerate(calls):
+        assert np.array_equal(x, grid[first] + cell / 2 ** k * steps)
 
 
 @pytest.mark.parametrize("name,block,grid_n",
@@ -358,22 +371,65 @@ def test_blocked_estimate_B_matches_one_grid(name, block, grid_n, any_profile, m
     assert grid_n ** p.d % block != 0
     assert block < grid_n ** (p.d - 1) or p.d < 3
     monkeypatch.setattr(spectral, "GRID_BLOCK", block)
-    blocked = estimate_B(p, grid_n=grid_n, refine_iters=6)
+    blocked = estimate_B(p, grid_n=grid_n)
     assert max(len(v) for _, v in spectral._mu_grid(p, grid_n)) <= block
     monkeypatch.setattr(spectral, "GRID_BLOCK", grid_n ** p.d)
-    assert estimate_B(p, grid_n=grid_n, refine_iters=6) == blocked
+    assert estimate_B(p, grid_n=grid_n) == blocked
+
+
+def _generated_isotropic(count: int, seed: int = 7) -> list:
+    """count isotropic 2x2 integer matrices with entries in [-3, 3] and
+    0 < |det| <= 6, taken in a seeded random order."""
+    entries = [e for e in itertools.product(range(-3, 4), repeat=4)
+               if 0 < abs(e[0] * e[3] - e[1] * e[2]) <= 6]
+    out = []
+    for i in np.random.default_rng(seed).permutation(len(entries)):
+        A = [list(entries[i][:2]), list(entries[i][2:])]
+        try:
+            isotropic = matana.certify_isotropy(matana.validate_dilation(A)).isotropic
+        except ValueError:  # not expanding
+            continue
+        if isotropic:
+            out.append(A)
+            if len(out) == count:
+                return out
+
+
+# On 48 of the 480 generated matrices the zoom raises B above the 64^2 grid
+# maximum; on these two the most (by 6.6e-3 and 1.6e-3).
+ZOOM_NEEDED = [[[2, -2], [3, -2]], [[2, 1], [-2, 0]]]
+ZOOM_CASES = ([(name, 64) for name in ("A1", "A2", "A3", "A4", "uni")] + [("C3", 32)]
+              + [(A, 64) for A in ZOOM_NEEDED + _generated_isotropic(24)])
+
+
+@pytest.mark.parametrize("case,grid_n", ZOOM_CASES,
+                         ids=lambda v: v if isinstance(v, (str, int)) else
+                         ";".join(",".join(map(str, row)) for row in v))
+def test_zoom_reaches_the_local_grid_maximum(case, grid_n, any_profile):
+    p = any_profile(case, 1) if isinstance(case, str) else spectral.make_profile(case)
+    rows, vals = map(np.concatenate, zip(*spectral._mu_grid(p, grid_n)))
+    first = int(np.argmax(vals))
+    B = estimate_B(p, grid_n)
+    assert B >= vals[first]
+    # A 129^d grid spanning one cell either side of the grid argmax.
+    cell = 2 * math.pi / grid_n
+    ax = np.linspace(-cell, cell, 129)
+    offsets = np.stack(np.meshgrid(*([ax] * p.d), indexing="ij"), axis=-1).reshape(-1, p.d)
+    local = rows[first] + offsets
+    local_max = max(float(np.max(mu(p, block))) for block in np.array_split(local, 64))
+    assert B >= local_max - 4 * np.spacing(local_max)
 
 
 @pytest.mark.parametrize("name,expected", sorted(B_FIXTURES.items()))
 def test_estimate_B_fixtures(name, expected, profiles):
     p = profiles(name)
-    assert estimate_B(p, grid_n=128, refine_iters=10) == pytest.approx(expected, abs=1e-6)
+    assert estimate_B(p, grid_n=128) == pytest.approx(expected, abs=1e-6)
 
 
 def test_estimate_B_monotone_in_grid(profiles):
     p = profiles("A3")
-    b64 = estimate_B(p, grid_n=64, refine_iters=10)
-    b128 = estimate_B(p, grid_n=128, refine_iters=10)
+    b64 = estimate_B(p, grid_n=64)
+    b128 = estimate_B(p, grid_n=128)
     assert b128 >= b64 - 1e-9
 
 
@@ -393,7 +449,7 @@ RIESZ_FIXTURES = [
 @pytest.mark.parametrize("name,m,ok_expected,decay_expected", RIESZ_FIXTURES)
 def test_riesz_verdicts(name, m, ok_expected, decay_expected, profiles):
     p = profiles(name, m)
-    ok, threshold, decay = riesz_verdict(p, estimate_B(p, grid_n=128, refine_iters=10))
+    ok, threshold, decay = riesz_verdict(p, estimate_B(p, grid_n=128))
     assert ok == ok_expected
     assert threshold == pytest.approx(p.q ** (2.0 / p.d - 1.0 / (2 * m)), abs=1e-14)
     assert decay == pytest.approx(decay_expected, abs=5e-4)
@@ -410,7 +466,7 @@ def test_profile_is_frozen(profiles):
 def test_spectral_values_leave_the_profile_as_it_was(name, m, profiles):
     p = profiles(name, m)
     before = dict(vars(p))
-    B = estimate_B(p, grid_n=64, refine_iters=4)
+    B = estimate_B(p, grid_n=64)
     verdict = riesz_verdict(p, B)
     doc = spectral.spectrum_report(p, B, 64)
     assert vars(p).keys() == before.keys()
@@ -423,8 +479,8 @@ def test_riesz_threshold_improves_with_order(profiles):
     # raising m weakens the sufficient condition toward q^{2/d}
     p1 = profiles("A2", 1)
     p3 = profiles("A2", 3)
-    _, t1, _ = riesz_verdict(p1, estimate_B(p1, 64, 5))
-    _, t3, _ = riesz_verdict(p3, estimate_B(p3, 64, 5))
+    _, t1, _ = riesz_verdict(p1, estimate_B(p1, 64))
+    _, t3, _ = riesz_verdict(p3, estimate_B(p3, 64))
     assert t1 < t3 < p1.q ** (2.0 / p1.d)
 
 
@@ -440,7 +496,7 @@ def test_fourier_refinement_identity(profiles, rng):
 
 def test_spectrum_report_fields(profiles):
     p = profiles("A3")
-    B = estimate_B(p, grid_n=64, refine_iters=6)
+    B = estimate_B(p, grid_n=64)
     doc = spectral.spectrum_report(p, B, 64)
     assert set(doc) == {"B", "threshold", "riesz_ok", "decay_exponent", "grid_n", "tol"}
     assert doc["riesz_ok"] is True

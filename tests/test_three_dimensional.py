@@ -51,7 +51,7 @@ def test_mask_normalized_and_even(profile3):
 
 def test_mu_lattice_and_bounds(profile3):
     assert spectral.mu(profile3, 2 * math.pi * np.array([1.0, -2.0, 3.0])) == 1.0
-    B = spectral.estimate_B(profile3, grid_n=32, refine_iters=6)
+    B = spectral.estimate_B(profile3, grid_n=32)
     assert B >= 1.0
     ok, threshold, _ = spectral.riesz_verdict(profile3, B)
     assert ok == (B < threshold - 1e-12)
