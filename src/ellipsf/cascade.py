@@ -148,6 +148,16 @@ class LatticeGrid:
             out[ok] = self.data[tuple(pos[ok].T)]
         return out
 
+    def shifts(self, idx, ks) -> np.ndarray:
+        """(N, K) matrix of phi(A^{-J} j - k) for index vectors j (N, d) and shifts k (K, d).
+
+        A^{-J} j - k = A^{-J} (j - A^J k) stays on the lattice, so the whole
+        matrix is read by one lookup.
+        """
+        steps = np.asarray(ks, dtype=np.int64) @ self.A.power(self.J).T
+        rows = np.asarray(idx, dtype=np.int64)[:, None, :] - steps
+        return self.lookup(rows.reshape(-1, self.A.d)).reshape(len(idx), len(steps))
+
     def value_at_index(self, j) -> float:
         return float(self.lookup(np.asarray(j, dtype=np.int64)[None, :])[0])
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import cascade, digits, ioutils, matana, properties, spectral, trigpoly
-from .errors import ConfigError, MaskPoleAtDigit, NotExpanding, NotIsotropic, SingularMatrix
+from .errors import (ConfigError, MaskPoleAtDigit, NotExpanding, NotIsotropic,
+                     NumericalBreakdown, SingularMatrix)
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -41,14 +42,20 @@ class JobConfig:
         M = self.matrix
         if not M or any(len(row) != len(M) for row in M):
             raise ConfigError("matrix must be square")
-        if self.m < 1:
-            raise ConfigError("m must be >= 1")
-        if self.J < 0:
-            raise ConfigError("J must be >= 0")
-        if self.tol <= 0:
-            raise ConfigError("tol must be > 0")
-        if self.grid_n < 32:
-            raise ConfigError("grid_n must be >= 32")
+        if not all(-2 ** 63 <= v < 2 ** 63 for row in M for v in row):
+            raise ConfigError("matrix entries must fit in int64")
+        for name in ("m", "J", "grid_n", "seed"):
+            if type(getattr(self, name)) is not int:  # bools are rejected too
+                raise ConfigError(f"{name} must be an integer")
+        for failed, message in (
+                (self.m < 1, "m must be >= 1"),
+                (self.J < 0, "J must be >= 0"),
+                (not (math.isfinite(self.tol) and self.tol > 0), "tol must be finite and > 0"),
+                (self.grid_n < 32, "grid_n must be >= 32"),
+                (self.seed < 0, "seed must be >= 0"),
+                (self.out is not None and not isinstance(self.out, str), "out must be a string")):
+            if failed:
+                raise ConfigError(message)
 
 
 def parse_matrix(text: str) -> list:
@@ -183,7 +190,7 @@ def cmd_report(cfg: JobConfig):
     """
     try:
         profile, B, level = _profile_and_B(cfg)
-    except (NotIsotropic, MaskPoleAtDigit):
+    except (NotIsotropic, MaskPoleAtDigit, NumericalBreakdown):
         _emit(cfg, *cmd_analyze(cfg))
         raise
     results = [cmd_analyze(cfg), cmd_mask(cfg, profile), cmd_spectrum(cfg, profile, B),
@@ -254,6 +261,9 @@ def main(argv=None) -> int:
     except MaskPoleAtDigit as exc:
         print(f"mask pole: {exc}", file=sys.stderr)
         return EXIT_MASK_POLE
+    except NumericalBreakdown as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

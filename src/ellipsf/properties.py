@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import cascade, operators, spectral
-from .cascade import LatticeGrid
+from .cascade import LatticeGrid, SupportBox
 from .errors import ConfigError, DegreeTooHigh, NonSimpleEigenvalue
 from .spectral import SpectralProfile
 from .trigpoly import TrigPoly
@@ -97,6 +97,28 @@ def _fd_weights(nodes, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The span of the integer shifts.  Partition of unity, polynomial
+# reproduction and approximation order read sum_k c_k phi(x - k) off one
+# matrix of shifted values, LatticeGrid.shifts.
+
+def _shifts_meeting(box: SupportBox, lo, hi) -> np.ndarray:
+    """Integer shifts k whose translate k + box meets [lo, hi], lexicographic order."""
+    ranges = [range(math.floor(l - bh), math.ceil(h - bl) + 1)
+              for l, h, bl, bh in zip(lo, hi, box.lo, box.hi)]
+    return np.array(list(product(*ranges)), dtype=np.int64).reshape(-1, len(ranges))
+
+
+def _sample(grid: LatticeGrid, n: int, seed: int, window: float = math.inf):
+    """Up to n distinct in-box index vectors j with |A^{-J} j|_inf <= window,
+    drawn with the seed, and their points A^{-J} j."""
+    idx, x = grid.index_points, grid.cartesian_points()
+    near = np.all(np.abs(x) <= window, axis=1)
+    idx, x = idx[near], x[near]
+    pick = np.random.default_rng(seed).choice(len(idx), size=min(n, len(idx)), replace=False)
+    return idx[pick], x[pick]
+
+
+# ---------------------------------------------------------------------------
 # Individual checks.
 
 _PARTITION_MIN_J = 3
@@ -108,18 +130,9 @@ def check_partition_of_unity(grid: LatticeGrid, n_samples: int = PARTITION_SAMPL
     """Max over sample points of |sum_k phi(x - k) - 1|."""
     if grid.J < _PARTITION_MIN_J:
         raise ValueError(_NO_PARTITION_LEVEL)
-    rng = np.random.default_rng(seed)
-    idx = grid.index_points
-    sel = idx[rng.choice(len(idx), size=min(n_samples, len(idx)), replace=False)]
-    AJ = grid.A.power(grid.J)
-    lo, hi = grid.box.lo, grid.box.hi
-    ks = np.array(list(product(*(range(int(l - h - 1), int(h - l + 2))
-                                 for l, h in zip(lo, hi)))), dtype=np.int64)
-    worst = 0.0
-    for n in sel:
-        total = math.fsum(grid.lookup(n - ks @ AJ.T))
-        worst = max(worst, abs(total - 1.0))
-    return worst
+    sel, _ = _sample(grid, n_samples, seed)
+    S = grid.shifts(sel, _shifts_meeting(grid.box, grid.box.lo, grid.box.hi))
+    return max(abs(math.fsum(row) - 1.0) for row in S)
 
 
 def check_total_positivity(profile: SpectralProfile,
@@ -185,10 +198,8 @@ def check_interpolation(grid0: LatticeGrid) -> float:
     """Max |phi(k) - delta_{k,0}| on the integer points of the support box."""
     if grid0.J != 0:
         raise ValueError("needs the level-0 grid")
-    idx = grid0.index_points
-    vals = grid0.values
-    delta = np.all(idx == 0, axis=1).astype(float)
-    return float(np.max(np.abs(vals - delta)))
+    delta = np.all(grid0.index_points == 0, axis=1)
+    return float(np.max(np.abs(grid0.values - delta)))
 
 
 def check_nonnegativity(grid: LatticeGrid) -> float:
@@ -282,38 +293,21 @@ def check_polynomial_reproduction(profile: SpectralProfile, p: Polynomial,
         raise DegreeTooHigh(f"degree {p.total_degree} exceeds 2m + 1 = {2 * profile.m + 1}")
     if grid is None:
         grid = cascade.sample_phi_m(profile.A, profile.m0, profile.m, 5)
-    d, J = profile.d, grid.J
-    rng = np.random.default_rng(seed)
-    AJ = grid.A.power(J)
-    inv = np.linalg.inv(AJ.astype(float))
-    idx = grid.index_points
-    x = idx @ inv.T
-    inside = np.all(np.abs(x) <= window, axis=1)
-    pool = idx[inside]
-    sel = pool[rng.choice(len(pool), size=min(n_samples, len(pool)), replace=False)]
-    xs = sel @ inv.T
-    lo, hi = grid.box.lo, grid.box.hi
-    ks = np.array(list(product(*(range(int(math.floor(-window - h)), int(math.ceil(window - l)) + 1)
-                                 for l, h in zip(lo, hi)))), dtype=np.int64)
-    pk = p.eval(ks.astype(float))
+    d = profile.d
+    sel, xs = _sample(grid, n_samples, seed, window)
+    ks = _shifts_meeting(grid.box, [-window] * d, [window] * d)
     r = np.zeros(len(sel))
-    for w, k in zip(pk, ks):
-        if w != 0.0:
-            r += w * grid.lookup(sel - k @ AJ.T)
+    for w, col in zip(p.eval(ks.astype(float)), grid.shifts(sel, ks).T):
+        if w != 0.0:  # column by column, in shift order: S @ w would round differently
+            r += w * col
     resid = r - p.eval(xs)
-    expo = _monomial_exponents(d, p.total_degree - 1) if p.total_degree > 0 else []
-    if expo:
-        V = np.stack([np.prod(xs ** np.asarray(e, dtype=float), axis=1) for e in expo], axis=1)
-        coef, *_ = np.linalg.lstsq(V, resid, rcond=None)
-        fit_residual = float(np.max(np.abs(resid - V @ coef)))
-    else:
-        coef = np.zeros(0)
-        fit_residual = float(np.max(np.abs(resid)))
-    leading_ok = fit_residual < 1e-5
-    scale = max(1.0, float(np.max(np.abs(coef))) if len(coef) else 1.0)
+    expo = _monomial_exponents(d, p.total_degree - 1)
+    V = np.prod(xs[:, None, :] ** np.array(expo, dtype=float).reshape(-1, d), axis=2)
+    coef, *_ = np.linalg.lstsq(V, resid, rcond=None)
+    fit_residual = float(np.max(np.abs(resid - V @ coef)))
+    scale = float(np.max(np.abs(coef), initial=1.0))
     sig = [sum(e) for e, c in zip(expo, coef) if abs(c) > 1e-7 * scale]
-    residual_degree = max(sig) if sig else -1
-    return leading_ok, residual_degree, fit_residual
+    return fit_residual < 1e-5, max(sig, default=-1), fit_residual
 
 
 def reproduction_cases(profile: SpectralProfile) -> list[tuple[Polynomial, bool]]:
@@ -364,43 +358,29 @@ def check_approximation_order(profile: SpectralProfile, levels=(2, 3, 4),
     if f is None:
         f = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=-1))
     grid_r = cascade.sample_phi_m(profile.A, profile.m0, profile.m, oversample)
-    box = grid_r.box
-    Ar = profile.A.power(oversample)
+    corners = np.array(list(product((-window, window), repeat=d)))
     errs = []
-    hs = []
     for J in levels:
         AJr = profile.A.power(J + oversample)
-        inv = np.linalg.inv(AJr.astype(float))
-        corners = np.array(list(product((-window, window), repeat=d)))
         icorn = corners @ AJr.T
         ranges = [range(int(math.floor(c)), int(math.ceil(C)) + 1)
                   for c, C in zip(icorn.min(axis=0), icorn.max(axis=0))]
         N = np.array(list(product(*ranges)), dtype=np.int64)
-        X = N @ inv.T
+        X = N @ np.linalg.inv(AJr.astype(float)).T
         keep = np.all(np.abs(X) <= window, axis=1)
         N, X = N[keep], X[keep]
-        AJ = profile.A.power(J)
-        kc = np.array(list(product((-window, window), repeat=d))) @ AJ.T
-        pad = np.maximum(np.abs(box.lo), np.abs(box.hi))
-        kranges = [range(int(math.floor(c - p)), int(math.ceil(C + p)) + 1)
-                   for c, C, p in zip(kc.min(axis=0), kc.max(axis=0), pad)]
-        K = np.array(list(product(*kranges)), dtype=np.int64)
-        cols = []
-        kept_k = []
-        for k in K:
-            col = grid_r.lookup(N - k @ Ar.T)
-            if np.any(col):
-                cols.append(col)
-                kept_k.append(k)
-        D = np.stack(cols, axis=1)
+        # Columns phi(A^J x - k) over the shifts whose support can meet the window.
+        kc = corners @ profile.A.power(J).T
+        D = grid_r.shifts(N, _shifts_meeting(grid_r.box, kc.min(axis=0), kc.max(axis=0)))
+        # compress keeps D C-ordered (D[:, mask] would not), which fixes how D @ coef rounds.
+        D = D.compress(np.any(D, axis=0), axis=1)
         target = f(X)
         coef, *_ = np.linalg.lstsq(D, target, rcond=None)
         res = target - D @ coef
-        err = math.sqrt(float(np.sum(res ** 2)) * profile.q ** (-(J + oversample)))
-        errs.append(err)
-        hs.append(profile.q ** (-J / d))
+        errs.append(math.sqrt(float(np.sum(res ** 2)) * profile.q ** (-(J + oversample))))
     if max(errs) < 1e-12:
         return None, errs
+    hs = [profile.q ** (-J / d) for J in levels]
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     return slope, errs
 
@@ -437,14 +417,10 @@ class PropertyReport:
 
 
 def _mask_is_interpolating(profile: SpectralProfile) -> bool:
-    total = TrigPoly(profile.d)
-    for s in profile.digits_AT.S:
-        total = total + profile.m0.shift_argument(s)
-    cmap = total.coeffs
+    """sum_s m0(xi + 2 pi s) over the digits s of A^T is identically 1."""
+    total = sum((profile.m0.shift_argument(s) for s in profile.digits_AT.S), TrigPoly(profile.d))
     zero = (0,) * profile.d
-    if abs(cmap.get(zero, 0) - 1.0) > 1e-12:
-        return False
-    return all(abs(c) <= 1e-12 for k, c in cmap.items() if k != zero)
+    return all(abs(c - (k == zero)) <= 1e-12 for k, c in {zero: 0.0, **total.coeffs}.items())
 
 
 def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0,

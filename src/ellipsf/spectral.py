@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import digits as digits_mod
-from . import matana, trigpoly
+from . import cascade, matana, trigpoly
 from .errors import ConfigError, NotIsotropic
 from .matana import DilationMatrix, QuadraticForm
 from .trigpoly import TrigPoly
@@ -380,6 +380,9 @@ def estimate_B(profile: SpectralProfile, grid_n: int = 256) -> float:
     """
     if grid_n < 32:
         raise ValueError("grid_n must be >= 32")
+    if grid_n ** profile.d > cascade.MAX_GRID_CELLS:
+        raise ConfigError(f"grid_n={grid_n} needs a B grid of {grid_n ** profile.d} "
+                          f"points; at most {cascade.MAX_GRID_CELLS} are allowed")
     best = -math.inf
     for block, vals in _mu_grid(profile, grid_n):
         i = int(np.argmax(vals))

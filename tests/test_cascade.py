@@ -281,6 +281,24 @@ def test_lookup_outside_box_is_zero(grids):
     assert g.lookup(np.array([[10 ** 6], [-10 ** 6]])).tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("name,m,J", [("uni", 1, 3), ("A3", 2, 3), ("C3", 1, 2)])
+def test_shifts_match_one_lookup_per_shift(name, m, J, grids):
+    if name == "C3":
+        p = spectral.make_profile(M3)
+        g = cascade.sample_phi_m(p.A, p.m0, m, J)
+    else:
+        g = grids(name, m, J)
+    d = g.A.d
+    idx = g.index_points[::5]
+    ks = np.array(np.meshgrid(*[np.arange(-2, 3)] * d, indexing="ij")).reshape(d, -1).T
+    S = g.shifts(idx, ks)
+    assert S.shape == (len(idx), len(ks))
+    AJ = g.A.power(J)
+    for col, k in zip(S.T, ks):
+        assert np.array_equal(col, g.lookup(idx - AJ @ k))
+    assert np.count_nonzero(S) > len(idx)  # several shifts meet each point
+
+
 def test_quadrature_weight(grids):
     assert grids("A1", 1, 5).quadrature_weight == pytest.approx(2.0 ** -5)
     assert grids("uni", 2, 4).quadrature_weight == pytest.approx(2.0 ** -4)

@@ -109,13 +109,29 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_config_invalid_values_rejected(tmp_path, capsys):
+    # Each is a config error with one line on stderr: a wrong type used to end
+    # in a TypeError traceback (J, grid_n, out), fail property checks (seed),
+    # or print "tol": nan, which is no JSON.
+    cases = [("analyze", {"tol": -1.0}), ("analyze", {"matrix": [[1, 2]]}),
+             ("eval", {"J": 2.5}), ("spectrum", {"grid_n": 64.5}), ("analyze", {"out": 5}),
+             ("verify", {"seed": 1.5, "J": 3}), ("verify", {"seed": -1, "J": 3}),
+             ("mask", {"m": True}), ("spectrum", {"tol": math.nan}),
+             ("spectrum", {"tol": math.inf})]
     cfg = tmp_path / "job.json"
-    cfg.write_text(json.dumps({"matrix": [[2]], "tol": -1.0}))
-    code, _ = run_cli(capsys, "analyze", "--config", str(cfg))
-    assert code == 2
-    cfg.write_text(json.dumps({"matrix": [[1, 2]]}))
-    code, _ = run_cli(capsys, "analyze", "--config", str(cfg))
-    assert code == 2
+    for command, data in cases:
+        cfg.write_text(json.dumps({"matrix": [[2]], **data}))
+        code, (out, err) = cli.main([command, "--config", str(cfg)]), capsys.readouterr()
+        assert (code, out) == (2, ""), data
+        assert err.startswith("config error: ") and err.count("\n") == 1, data
+    assert run_cli(capsys, "spectrum", "--matrix", "2", "--tol", "nan") == (2, "")
+
+
+@pytest.mark.parametrize("text", ["1,2;3", "", "1,,2;3,4", "1.5,0;0,2",
+                                  "99999999999999999999,0;0,2"])
+def test_malformed_matrix_string_exit_2(text, capsys):
+    code, (out, err) = cli.main(["analyze", "--matrix", text]), capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_flags_override_config(tmp_path, capsys):
@@ -170,6 +186,31 @@ def test_spectrum_constants(matrix, B, ok, capsys):
     doc = json.loads(out)
     assert doc["B"] == pytest.approx(B, abs=1e-6)
     assert doc["riesz_ok"] is ok
+
+
+def test_B_grid_past_the_cell_cap_is_a_config_error(capsys, tmp_path, monkeypatch):
+    # The B grid shares the lattice grids' cap; lowered here so the check is
+    # quick.  At the real cap, --grid-n 100000 in 2-D asks for 10^10 rows.
+    monkeypatch.setattr(cascade, "MAX_GRID_CELLS", 64 ** 2)
+    assert run_cli(capsys, "spectrum", "--matrix", "2,0;0,2", "--grid-n", "64")[0] == 0
+    for command in ("spectrum", "verify", "report"):
+        out = tmp_path / command
+        code = cli.main([command, "--matrix", "2,0;0,2", "--J", "1", "--grid-n", "65",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: grid_n=65 needs a B grid of 4225 points; at most 4096 are allowed\n")
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_numerical_breakdown_in_the_profile_exit_2(capsys, tmp_path):
+    # At q = 36 the mask's imaginary residue passes the realify tolerance.
+    code, (out, err) = cli.main(["mask", "--matrix", "6,0;0,6"]), capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical breakdown: imaginary residue ") and err.count("\n") == 1
+    assert cli.main(["report", "--matrix", "6,0;0,6", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == err
+    assert [f.name for f in tmp_path.iterdir()] == ["analyze.json"]
 
 
 def test_spectrum_csv_dump(tmp_path, capsys):

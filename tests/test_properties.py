@@ -214,6 +214,30 @@ def test_run_all_skips_checks_below_their_level(name, J, profiles):
     assert failed == (set() if name == "uni" or J == 0 else {"convolution"})
 
 
+def test_run_all_reads_each_shift_sum_with_one_lookup(profiles, monkeypatch):
+    # Partition of unity and each reproduction candidate read their whole
+    # shift matrix through one LatticeGrid.shifts call.
+    calls, per_check = [0], []
+    lookup = cascade.LatticeGrid.lookup
+
+    def counted_lookup(self, idx):
+        calls[0] += 1
+        return lookup(self, idx)
+    monkeypatch.setattr(cascade.LatticeGrid, "lookup", counted_lookup)
+    for name in ("check_partition_of_unity", "check_polynomial_reproduction"):
+        def counted(*args, _check=getattr(properties, name), _name=name, **kwargs):
+            before = calls[0]
+            out = _check(*args, **kwargs)
+            per_check.append((_name, calls[0] - before))
+            return out
+        monkeypatch.setattr(properties, name, counted)
+    p = profiles("A1", 1)
+    st = _statuses(_run_all(p, J=5))
+    assert st["partition_of_unity"] == st["polynomial_reproduction"] == "pass"
+    assert per_check == [("check_partition_of_unity", 1)] + [
+        ("check_polynomial_reproduction", 1)] * len(properties.reproduction_cases(p))
+
+
 def test_run_all_a2_riesz_fails_report_completes(profiles):
     report = _run_all(profiles("A2", 1), J=4)
     st = _statuses(report)
