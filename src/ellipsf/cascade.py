@@ -51,6 +51,10 @@ MAX_GRID_CELLS = 1 << 24
 # 2^14 cells left the lattice benchmark's peak RSS 0.7 MB higher after 36 s
 # of repeated passes.
 INSIDE_BLOCK = 1 << 12
+# (row, shift) pairs per block of LatticeGrid.shifts.  Beside the result a
+# block holds its d axis positions, bounds mask, flat positions and values,
+# about 8 (d + 3) bytes a pair: 2.6 MB at d = 2.
+SHIFT_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class SupportBox:
@@ -68,7 +72,7 @@ class SupportBox:
         return self.hi - self.lo
 
 
-def support_box(A: DilationMatrix, rc: RefinementCoefficients, tol: float = 1e-9) -> SupportBox:
+def support_box(A: DilationMatrix, rc: RefinementCoefficients) -> SupportBox:
     """Bounding box of the fixed point of Omega -> A^{-1}(Omega + supp c).
 
     Accumulates the Minkowski sum of the images A^{-j} supp(c) exactly
@@ -93,7 +97,7 @@ def support_box(A: DilationMatrix, rc: RefinementCoefficients, tol: float = 1e-9
         lo += step_lo
         hi += step_hi
         extent = max(np.max(np.abs(step_lo)), np.max(np.abs(step_hi)))
-        if extent < tol * 1e-2:
+        if extent < 1e-9 * 1e-2:
             break
     else:
         raise NoConvergence("support box iteration did not contract")
@@ -139,24 +143,26 @@ class LatticeGrid:
 
     def lookup(self, idx) -> np.ndarray:
         """Values at integer index vectors (N, d); 0 outside the stored range."""
-        idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
-        pos = idx - self.offset
-        shape = np.array(self.data.shape, dtype=np.int64)
-        ok = np.all((pos >= 0) & (pos < shape), axis=1)
-        out = np.zeros(len(idx))
-        if np.any(ok):
-            out[ok] = self.data[tuple(pos[ok].T)]
-        return out
+        return self.shifts(np.atleast_2d(idx), np.zeros((1, self.A.d), dtype=np.int64))[:, 0]
 
     def shifts(self, idx, ks) -> np.ndarray:
         """(N, K) matrix of phi(A^{-J} j - k) for index vectors j (N, d) and shifts k (K, d).
 
-        A^{-J} j - k = A^{-J} (j - A^J k) stays on the lattice, so the whole
-        matrix is read by one lookup.
+        A^{-J} j - k = A^{-J} (j - A^J k) stays on the lattice.  Each entry is
+        read at its flat position in `data`, in blocks of whole rows with
+        about SHIFT_BLOCK entries, so memory beyond the result stays flat.
         """
+        pos = np.asarray(idx, dtype=np.int64) - self.offset
         steps = np.asarray(ks, dtype=np.int64) @ self.A.power(self.J).T
-        rows = np.asarray(idx, dtype=np.int64)[:, None, :] - steps
-        return self.lookup(rows.reshape(-1, self.A.d)).reshape(len(idx), len(steps))
+        flat, shape = self.data.ravel(), self.data.shape
+        out = np.empty((len(pos), len(steps)))
+        rows = max(1, SHIFT_BLOCK // max(1, len(steps)))
+        for start in range(0, len(pos), rows):
+            axes = [p[:, None] - s for p, s in zip(pos[start:start + rows].T, steps.T)]
+            ok = np.logical_and.reduce([(a >= 0) & (a < n) for a, n in zip(axes, shape)])
+            at = np.ravel_multi_index(axes, shape, mode="clip")
+            out[start:start + rows] = np.where(ok, flat[at], 0.0)
+        return out
 
     def value_at_index(self, j) -> float:
         return float(self.lookup(np.asarray(j, dtype=np.int64)[None, :])[0])
@@ -173,13 +179,15 @@ class LatticeGrid:
         True, since phi has no closed form between lattice points.
         """
         u = self.A.power(self.J).astype(float) @ np.asarray(x, dtype=float)
+        nearest = np.round(u)
+        if np.all(np.abs(u - nearest) < 1e-12):  # each coordinate on its own
+            return self.value_at_index(nearest.astype(np.int64)), False
         base = np.floor(u).astype(np.int64)
         frac = u - base
-        on_lattice = bool(np.all(np.abs(frac) < 1e-12) or np.all(np.abs(frac - 1.0) < 1e-12))
         corners = np.array(list(np.ndindex(*(2,) * len(u))), dtype=np.int64)
         vals = self.lookup(base + corners)
         weights = np.prod(np.where(corners == 1, frac, 1.0 - frac), axis=1)
-        return float(vals @ weights), not on_lattice
+        return float(vals @ weights), True
 
 
 def grid_bounds(A: DilationMatrix, box: SupportBox, J: int):
@@ -376,23 +384,13 @@ def coarsen(grid: LatticeGrid) -> LatticeGrid:
     return out
 
 
-def check_level(A: DilationMatrix, m0: TrigPoly, m: int, J: int):
-    """(rc, box) of phi^m, once level J is known to fit MAX_GRID_CELLS.
-
-    Raises ConfigError for an oversize level, so a caller can reject the
-    request before building any level or writing any output.
-    """
+def sample_phi_m(A: DilationMatrix, m0: TrigPoly, m: int, J: int) -> LatticeGrid:
+    """Cascade phi^m to level J from (m0)^m; an oversize level raises ConfigError first."""
+    if m < 1 or J < 0:
+        raise ValueError("need m >= 1 and J >= 0")
     rc = refinement_coefficients(m0 ** m, A.q)
     box = support_box(A, rc)
     grid_bounds(A, box, J)
-    return rc, box
-
-
-def sample_phi_m(A: DilationMatrix, m0: TrigPoly, m: int, J: int) -> LatticeGrid:
-    """Cascade phi^m to level J from the order-m mask (m0)^m."""
-    if m < 1 or J < 0:
-        raise ValueError("need m >= 1 and J >= 0")
-    rc, box = check_level(A, m0, m, J)
     grid = integer_values(A, rc, box)
     for _ in range(J):
         grid = refine(A, rc, grid)

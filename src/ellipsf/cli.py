@@ -104,12 +104,11 @@ def _profile(cfg: JobConfig) -> spectral.SpectralProfile:
 
 
 def _profile_and_B(cfg: JobConfig):
-    """The profile, its B at --grid-n, and cascade.check_level's (rc, box)
-    for order m, once level J is known to fit."""
+    """The profile and its B at --grid-n, once level J is known to fit."""
     profile = _profile(cfg)
     # An oversize level is rejected before any grid, the B grid included.
-    level = cascade.check_level(profile.A, profile.m0, cfg.m, cfg.J)
-    return profile, spectral.estimate_B(profile, cfg.grid_n), level
+    cascade.grid_bounds(profile.A, profile.refinement[1], cfg.J)
+    return profile, spectral.estimate_B(profile, cfg.grid_n)
 
 
 # Each command returns (exit code, [(file name, text), ...]); main writes them.
@@ -138,7 +137,7 @@ def cmd_analyze(cfg: JobConfig):
 
 
 def cmd_mask(cfg: JobConfig, profile: spectral.SpectralProfile):
-    mask = profile.m0 ** cfg.m
+    mask = profile.mask
     cosine = trigpoly.render_cosine(mask)
     doc = {
         "matrix": cfg.matrix,
@@ -174,8 +173,8 @@ def cmd_eval(cfg: JobConfig):
     return EXIT_OK, [("grid.csv", ioutils.grid_csv(grid))]
 
 
-def cmd_verify(cfg: JobConfig, profile: spectral.SpectralProfile, B: float, level: tuple):
-    report = properties.run_all(profile, B, cfg.J, cfg.seed, level)
+def cmd_verify(cfg: JobConfig, profile: spectral.SpectralProfile, B: float):
+    report = properties.run_all(profile, B, cfg.J, cfg.seed)
     doc = {"seed": cfg.seed, "J": cfg.J, **report.to_json()}
     code = EXIT_OK if report.passed else EXIT_PROPERTY_FAILURE
     return code, [("verify.json", ioutils.emit_json(doc))]
@@ -189,12 +188,12 @@ def cmd_report(cfg: JobConfig):
     gets its analyze.json, then the error that stopped the profile.
     """
     try:
-        profile, B, level = _profile_and_B(cfg)
+        profile, B = _profile_and_B(cfg)
     except (NotIsotropic, MaskPoleAtDigit, NumericalBreakdown):
         _emit(cfg, *cmd_analyze(cfg))
         raise
     results = [cmd_analyze(cfg), cmd_mask(cfg, profile), cmd_spectrum(cfg, profile, B),
-               cmd_verify(cfg, profile, B, level)]
+               cmd_verify(cfg, profile, B)]
     return max(code for code, _ in results), [o for _, outputs in results for o in outputs]
 
 

@@ -49,8 +49,8 @@ def _emit(obj, indent: int, level: int) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def emit_json(obj, indent: int = 2) -> str:
-    return _emit(obj, indent, 0) + "\n"
+def emit_json(obj) -> str:
+    return _emit(obj, 2, 0) + "\n"
 
 
 def atomic_write(path: str, text: str):

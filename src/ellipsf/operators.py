@@ -45,40 +45,37 @@ def apply_stencil(G: TrigPoly, grid: LatticeGrid, k: int = 1) -> LatticeGrid:
     return out
 
 
-def delta_sharp_symbol(profile: SpectralProfile, xi, tol: float | None = None):
+def delta_sharp_symbol(profile: SpectralProfile, xi):
     """Symbol P(xi)/M(xi) of the operator whose m-th power annihilates phi^m
     between lattice points."""
     x = np.asarray(xi, dtype=float)
-    return eval_P(profile.Q2, x) / spectral.M_eval(profile, x, tol)
+    return eval_P(profile.Q2, x) / spectral.M_eval(profile, x)
 
 
-def green_spectrum(profile: SpectralProfile, xi, tol: float | None = None,
-                   order: int | None = None):
+def green_spectrum(profile: SpectralProfile, xi):
     """Fourier transform (M/P)^m of the Green function of the operator."""
-    m = profile.m if order is None else order
     x = np.asarray(xi, dtype=float)
-    return (spectral.M_eval(profile, x, tol) / eval_P(profile.Q2, x)) ** m
+    return (spectral.M_eval(profile, x) / eval_P(profile.Q2, x)) ** profile.m
 
 
-def green_combination(profile: SpectralProfile, order: int | None = None) -> TrigPoly:
+def green_combination(profile: SpectralProfile) -> TrigPoly:
     """Weights w with phi^m = sum_k w_k rho(. - k); these are exactly the
     coefficients of G^m, since phi_hat^m = G^m rho_hat."""
-    m = profile.m if order is None else order
-    return profile.G ** m
+    return profile.G ** profile.m
 
 
-def verify_operator_relation(profile: SpectralProfile, m: int, k: int,
-                             n_samples: int = 200, seed: int = 7) -> float:
-    """Max relative residual of (P/M)^k phi_hat^m = G^k phi_hat^{m-k}.
+def verify_operator_relation(profile: SpectralProfile, k: int) -> float:
+    """Max relative residual of (P/M)^k phi_hat^m = G^k phi_hat^{m-k}, m = profile.m.
 
-    Checked at random points away from the lattice, with the three M factors
-    truncated at different tolerances so the identity is not an algebraic
-    tautology of one shared truncation.
+    Checked at 200 seeded points away from the lattice, with the three M
+    factors truncated at different tolerances so the identity is not an
+    algebraic tautology of one shared truncation.
     """
+    m = profile.m
     if not 1 <= k < m:
         raise ValueError("need 1 <= k < m")
     tol = profile.truncation_tol
-    pts = spectral._off_lattice_points(np.random.default_rng(seed), n_samples, profile.d)
+    pts = spectral._off_lattice_points(np.random.default_rng(7), 200, profile.d)
     P = eval_P(profile.Q2, pts)
     Gv = eval_G_stable(profile.Q2, pts)
     M1 = spectral.M_eval(profile, pts, tol)

@@ -143,13 +143,13 @@ def check_total_positivity(profile: SpectralProfile,
     return float(np.min(spectral.phi_hat(profile, pts)))
 
 
-def check_strang_fix(profile: SpectralProfile, step: float = 1e-3) -> float:
+def check_strang_fix(profile: SpectralProfile) -> float:
     """Max |D^n phi_hat(2 pi k)| over 0 < |k|_inf <= 2 and |n| <= 2m - 1.
 
     Derivatives are 4th-order central differences (9-point Fornberg stencils
-    per axis, tensorized for mixed orders).
+    per axis with step 1e-3, tensorized for mixed orders).
     """
-    d = profile.d
+    d, step = profile.d, 1e-3
     max_order = 2 * profile.m - 1
     nodes = list(range(-4, 5))
     ks = [k for k in product(range(-2, 3), repeat=d) if any(k)]
@@ -233,56 +233,44 @@ def _rectangle_sums(g1: LatticeGrid, g2: LatticeGrid, idx: np.ndarray) -> np.nda
     return out
 
 
-def check_convolution(profile: SpectralProfile, m1: int, m2: int, J: int,
-                      grid: LatticeGrid | None = None, detail: dict | None = None) -> float:
-    """Max deviation of phi^{m1} * phi^{m2} from cascade phi^{m1+m2} on the
-    level-(J-1) lattice.
+def check_convolution(profile: SpectralProfile, J: int, grid: LatticeGrid | None = None,
+                      detail: dict | None = None) -> float:
+    """Max deviation of phi^m * phi^m from cascade phi^{2m} on the level-(J-1) lattice.
 
-    The rectangle sums S_j(x) = q^{-j} sum_k phi^{m1}(A^{-j} k) phi^{m2}(x - A^{-j} k)
+    The rectangle sums S_j(x) = q^{-j} sum_k phi^m(A^{-j} k) phi^m(x - A^{-j} k)
     differ from the convolution integral only by the Poisson aliasing terms at
-    2 pi (A^T)^j k, k != 0, which are O(h^{2 min(m1, m2)}) with h = q^{-j/d}.
-    One Richardson step (r S_J - S_{J-1}) / (r - 1), r = q^{2 min(m1, m2)/d},
-    removes that term.  Both sums are taken at the level-(J-1) points
+    2 pi (A^T)^j k, k != 0, which are O(h^{2m}) with h = q^{-j/d}.  One
+    Richardson step (r S_J - S_{J-1}) / (r - 1), r = q^{2m/d}, removes that
+    term.  Both sums are taken at the level-(J-1) points
     A^{-(J-1)} l = A^{-J} (A l), and the level-(J-1) samples are read off the
-    level-J grids, so phi^{m1+m2} is cascaded to level J - 1 only.
+    level-J grid, so phi^{2m} is cascaded to level J - 1 only.
 
-    `grid`, if given, holds the level-J samples of phi^{profile.m} and stands
-    in for the cascade of that order.  A dict passed as `detail` receives the
-    raw deviation of S_J on the same points ("raw") and the factor ("r").
+    `grid`, if given, holds the level-J samples of phi^m and stands in for
+    their cascade.  A dict passed as `detail` receives the raw deviation of
+    S_J on the same points ("raw") and the factor ("r").
     """
-    if m1 < 1 or m2 < 1:
-        raise ValueError("orders must be >= 1")
     if J < 1:
         raise ValueError(_NO_COARSER_LEVEL)
     if grid is not None and grid.J != J:
         raise ValueError(f"grid is at level {grid.J}, not {J}")
-    A, m0 = profile.A, profile.m0
-
-    def samples(m):
-        if grid is not None and m == profile.m:
-            return grid
-        return cascade.sample_phi_m(A, m0, m, J)
-
-    g1 = samples(m1)
-    g2 = g1 if m2 == m1 else samples(m2)
-    g12 = cascade.sample_phi_m(A, m0, m1 + m2, J - 1)
-    idx = g12.index_points
-    fine = _rectangle_sums(g1, g2, idx @ A.entries.T)
-    c1 = cascade.coarsen(g1)
-    coarse = _rectangle_sums(c1, c1 if m2 == m1 else cascade.coarsen(g2), idx)
-    r = float(profile.q) ** (2 * min(m1, m2) / profile.d)
+    A, m0, m = profile.A, profile.m0, profile.m
+    g = grid if grid is not None else cascade.sample_phi_m(A, m0, m, J)
+    g2m = cascade.sample_phi_m(A, m0, 2 * m, J - 1)
+    idx = g2m.index_points
+    fine = _rectangle_sums(g, g, idx @ A.entries.T)
+    c = cascade.coarsen(g)
+    coarse = _rectangle_sums(c, c, idx)
+    r = float(profile.q) ** (2 * m / profile.d)
     extrapolated = (r * fine - coarse) / (r - 1.0)
     if detail is not None:
-        detail.update(raw=float(np.max(np.abs(fine - g12.values))), r=r)
-    return float(np.max(np.abs(extrapolated - g12.values)))
+        detail.update(raw=float(np.max(np.abs(fine - g2m.values))), r=r)
+    return float(np.max(np.abs(extrapolated - g2m.values)))
 
 
 def check_polynomial_reproduction(profile: SpectralProfile, p: Polynomial,
-                                  grid: LatticeGrid | None = None,
-                                  n_samples: int = 60, window: float = 2.0,
-                                  seed: int = 3):
+                                  grid: LatticeGrid | None = None, seed: int = 3):
     """Shift-sum r(x) = sum_k p(k) phi(x - k) tested for leading-term
-    reproduction r = p + (degree < deg p).
+    reproduction r = p + (degree < deg p) at 60 points of [-2, 2]^d.
 
     Returns (leading_ok, residual_degree, fit_residual).  leading_ok is the
     verdict of a least-squares fit of r - p against monomials of lower
@@ -294,8 +282,8 @@ def check_polynomial_reproduction(profile: SpectralProfile, p: Polynomial,
     if grid is None:
         grid = cascade.sample_phi_m(profile.A, profile.m0, profile.m, 5)
     d = profile.d
-    sel, xs = _sample(grid, n_samples, seed, window)
-    ks = _shifts_meeting(grid.box, [-window] * d, [window] * d)
+    sel, xs = _sample(grid, 60, seed, 2.0)
+    ks = _shifts_meeting(grid.box, [-2.0] * d, [2.0] * d)
     r = np.zeros(len(sel))
     for w, col in zip(p.eval(ks.astype(float)), grid.shifts(sel, ks).T):
         if w != 0.0:  # column by column, in shift order: S @ w would round differently
@@ -344,17 +332,16 @@ def reproduction_cases(profile: SpectralProfile) -> list[tuple[Polynomial, bool]
     return cases
 
 
-def check_approximation_order(profile: SpectralProfile, levels=(2, 3, 4),
-                              window: float = 3.0, oversample: int = 3,
-                              f=None):
+def check_approximation_order(profile: SpectralProfile, f=None):
     """Fitted slope of log L2 error of the best lattice approximant vs log h.
 
     The approximant is the discrete least-squares projection of f onto
-    span{phi(A^J x - k)}, which realizes the infimum over coefficients; the
-    error should scale like h^{2m}.  Returns (slope, errors); slope is None
-    when the error is at rounding level (f reproduced exactly).
+    span{phi(A^J x - k)}, J = 2, 3, 4, which realizes the infimum over
+    coefficients; the error, sampled on the level-(J + 3) points of
+    [-3, 3]^d, should scale like h^{2m}.  Returns (slope, errors); slope is
+    None when the error is at rounding level (f reproduced exactly).
     """
-    d = profile.d
+    d, levels, window, oversample = profile.d, (2, 3, 4), 3.0, 3
     if f is None:
         f = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=-1))
     grid_r = cascade.sample_phi_m(profile.A, profile.m0, profile.m, oversample)
@@ -423,22 +410,20 @@ def _mask_is_interpolating(profile: SpectralProfile) -> bool:
     return all(abs(c - (k == zero)) <= 1e-12 for k, c in {zero: 0.0, **total.coeffs}.items())
 
 
-def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0,
-            level: tuple | None = None) -> PropertyReport:
+def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0) -> PropertyReport:
     """Execute every check against the profile; failures are report entries.
 
     B is the supremum of mu from spectral.estimate_B; the riesz_basis check
     compares it with the paper's threshold.  The cascade checks run at level
-    J, and seed draws their sample points.  level, if given, is
-    cascade.check_level's (rc, box) for profile.m and J, as a caller that has
-    already checked the level holds it; otherwise it is computed.
+    J on phi^m from profile.refinement, and seed draws their sample points.
     """
     report = PropertyReport([[int(v) for v in row] for row in profile.A.entries], profile.m)
     # An oversize level is a bad request, not a property verdict: it raises
     # ConfigError here, before any check runs.
     grid = grid0 = grid_err = None
     try:
-        rc, box = level or cascade.check_level(profile.A, profile.m0, profile.m, J)
+        rc, box = profile.refinement
+        cascade.grid_bounds(profile.A, box, J)
     except ConfigError:
         raise
     except Exception as exc:
@@ -501,15 +486,14 @@ def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0,
            NON_DECAY_FACTOR * profile.truncation_tol)
     conv: dict = {}
     record("convolution",
-           lambda: check_convolution(profile, profile.m, profile.m, J,
-                                     grid=grid, detail=conv),
+           lambda: check_convolution(profile, J, grid=grid, detail=conv),
            TOL_CONVOLUTION, skip or (None if J >= 1 else _NO_COARSER_LEVEL),
            lambda: (f"Richardson step from levels {J - 1} and {J} with "
                     f"r = {conv['r']:.17g}; raw level-{J} rectangle-rule "
                     f"deviation {conv['raw']:.17g} on the level-{J - 1} "
                     f"points") if conv else "")
     record("operator_relation",
-           lambda: operators.verify_operator_relation(profile, profile.m, 1), TOL_OPERATOR,
+           lambda: operators.verify_operator_relation(profile, 1), TOL_OPERATOR,
            None if profile.m >= 2 else "needs m >= 2 (k < m)")
 
     def reproduction():

@@ -48,7 +48,7 @@ from . import digits as digits_mod
 from . import cascade, matana, trigpoly
 from .errors import ConfigError, NotIsotropic
 from .matana import DilationMatrix, QuadraticForm
-from .trigpoly import TrigPoly
+from .trigpoly import RefinementCoefficients, TrigPoly
 
 TWO_PI = 2.0 * math.pi
 # |eta| below which mu, G/P and the closure return their limit 1: there the
@@ -72,7 +72,8 @@ class SpectralProfile:
     """Everything needed to evaluate one scaling function in the Fourier domain.
 
     Frozen: B and the Riesz verdict are values returned by estimate_B and
-    riesz_verdict, not state of the profile.
+    riesz_verdict, not state of the profile.  The order m fixes phi^m, whose
+    mask m0^m and refinement data are built on first use and kept.
     """
 
     A: DilationMatrix
@@ -94,6 +95,17 @@ class SpectralProfile:
     @property
     def contraction(self) -> np.ndarray:
         return self.A.inv_T
+
+    @functools.cached_property
+    def mask(self) -> TrigPoly:
+        """The order-m mask m0^m of phi^m."""
+        return self.m0 ** self.m
+
+    @functools.cached_property
+    def refinement(self) -> tuple[RefinementCoefficients, cascade.SupportBox]:
+        """phi^m's refinement coefficients and the support box they give."""
+        rc = trigpoly.refinement_coefficients(self.mask, self.q)
+        return rc, cascade.support_box(self.A, rc)
 
     @functools.cached_property
     def second_moment(self) -> np.ndarray:
@@ -307,19 +319,15 @@ def M_eval(profile: SpectralProfile, x: np.ndarray, tol: float | None = None) ->
 
 
 @_pointwise
-def phi_hat(profile: SpectralProfile, x: np.ndarray, tol: float | None = None,
-            order: int | None = None) -> np.ndarray:
-    """phi_hat^m(xi) = (G(xi)/P(xi))^m M(xi)^m, with phi_hat_1 to a relative tol.
+def phi_hat(profile: SpectralProfile, x: np.ndarray) -> np.ndarray:
+    """phi_hat^m(xi) = (G(xi)/P(xi))^m M(xi)^m, phi_hat_1 to a relative truncation_tol.
 
     Evaluated in the telescoped form of the module docstring, closed with
     (G/P)(eta) exp(h(eta)) at eta = B^{J+1} xi.  The origin returns 1 and
     exact nonzero lattice points return 0.  Values are nonnegative up to the
     rounding of m0 next to its zeros (about 1e-16).
     """
-    m = profile.m if order is None else order
-    if m < 0:
-        raise ValueError("order must be >= 0")
-    J = _truncation_depth(profile, x, tol)
+    J = _truncation_depth(profile, x, None)
     B = profile.contraction
     base = np.ones(len(x))
     cur = x
@@ -331,7 +339,7 @@ def phi_hat(profile: SpectralProfile, x: np.ndarray, tol: float | None = None,
     eta, k = _reduce_torus(x)
     lattice = np.max(np.abs(eta), axis=1) == 0.0
     base[lattice] = np.all(k[lattice] == 0, axis=1)
-    return base ** m
+    return base ** profile.m
 
 
 def _mu_grid(profile: SpectralProfile, grid_n: int):

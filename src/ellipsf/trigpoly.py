@@ -236,11 +236,11 @@ class TrigPoly:
                 return False
         return True
 
-    def realify(self, tol: float = REALNESS_TOL) -> "TrigPoly":
-        """Drop imaginary coefficient parts below tol (absolute); fail otherwise."""
+    def realify(self) -> "TrigPoly":
+        """Drop imaginary coefficient parts below REALNESS_TOL (absolute); fail otherwise."""
         worst = max((abs(c.imag) for c in self.coeffs.values()), default=0.0)
-        if worst > tol:
-            raise NumericalBreakdown(f"imaginary residue {worst:.3e} above {tol:.1e}")
+        if worst > REALNESS_TOL:
+            raise NumericalBreakdown(f"imaginary residue {worst:.3e} above {REALNESS_TOL:.1e}")
         return TrigPoly(self.d, {k: complex(c.real, 0.0) for k, c in self.coeffs.items()})
 
     def real_coeffs(self) -> dict[tuple[int, ...], float]:
@@ -360,15 +360,15 @@ def refinement_coefficients(m0: TrigPoly, q: int) -> RefinementCoefficients:
     return RefinementCoefficients(c, q, m0.d)
 
 
-def render_cosine(p: TrigPoly, digits: int = 12) -> str:
-    """Human-readable cosine/sine rendering for comparison against tables.
+def render_cosine(p: TrigPoly) -> str:
+    """Human-readable cosine/sine rendering, 12 significant digits, for tables.
 
     Reads the folded form: the constant first, then each representative
     frequency k, in descending order, as Re(alpha_k) cos + Im(beta_k) sin.
     """
     H, alpha, beta, _ = p._folded
     c0 = p.coeffs.get((0,) * p.d, 0)
-    parts = [f"{c0.real:.{digits}g}"] if c0 != 0 or not p.coeffs else []
+    parts = [f"{c0.real:.12g}"] if c0 != 0 or not p.coeffs else []
     for pos, a, b in zip(H.tolist()[::-1], alpha.real[::-1], beta.imag[::-1]):
         if not any(pos):
             continue
@@ -378,9 +378,9 @@ def render_cosine(p: TrigPoly, digits: int = 12) -> str:
             for i, v in enumerate(pos) if v != 0
         ).replace("+ -", "- ")
         if abs(a) > 1e-15:
-            parts.append(f"{a:+.{digits}g} cos({freq})")
+            parts.append(f"{a:+.12g} cos({freq})")
         if abs(b) > 1e-15:
-            parts.append(f"{b:+.{digits}g} sin({freq})")
+            parts.append(f"{b:+.12g} sin({freq})")
     return " ".join(parts) if parts else "0"
 
 

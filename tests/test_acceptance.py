@@ -177,7 +177,7 @@ def test_c07_fourier_refinement(name, m, profiles):
 @pytest.mark.parametrize("name,m", _C7_CASES)
 def test_c07_convolution(name, m, profiles):
     t0 = time.perf_counter()
-    r = properties.check_convolution(profiles(name, m), m, m, 5)
+    r = properties.check_convolution(profiles(name, m), 5)
     _C7_TIMES.append(time.perf_counter() - t0)
     h2 = profiles(name, m).q ** (-2 * 5.0 / profiles(name, m).d)
     assert _line(7, f"convolution {name} m={m}", r <= 5e-3,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -324,6 +325,33 @@ def test_query_quincunx_lattice_exact(grids):
     g = grids("A1", 1, 4)
     val, approx = g.query([0.0, 0.0])
     assert not approx and val == pytest.approx(1.0, abs=1e-10)
+
+
+def test_query_flags_no_in_box_lattice_point():
+    # A^J x rounds to either side of an integer coordinate by coordinate;
+    # each in-box point must still read back its stored value, unflagged.
+    p = spectral.make_profile([[1, -2], [1, 0]])
+    g = cascade.sample_phi_m(p.A, p.m0, 1, 6)
+    x = g.cartesian_points()
+    assert len(x) == 3093
+    for xi, v in zip(x, g.values):
+        assert g.query(xi) == (v, False)
+
+
+def test_shifts_peak_stays_near_its_result(grids):
+    g = grids("A3", 1, 5)
+    idx = np.tile(g.index_points, (32, 1))
+    ks = np.array(np.meshgrid(*[np.arange(-2, 3)] * 2, indexing="ij")).reshape(2, -1).T
+    result_bytes = 8 * len(idx) * len(ks)
+    tracemalloc.start()
+    try:
+        S = g.shifts(idx, ks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert S.nbytes == result_bytes
+    # One block of rows at a time: the work arrays stay well below the result.
+    assert peak - result_bytes < 0.5 * result_bytes
 
 
 @pytest.mark.parametrize("matrix, m, J, cells", [

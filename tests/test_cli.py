@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ellipsf import cascade, cli, matana, spectral, trigpoly
+from ellipsf import cascade, cli, digits, matana, spectral, trigpoly
 from ellipsf.errors import MaskPoleAtDigit
 
 import helpers
@@ -308,19 +308,51 @@ def test_report_builds_one_profile_and_one_B(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["verify", "report"])
 def test_job_checks_its_level_once(command, capsys, tmp_path, monkeypatch):
-    # The CLI hands check_level's (rc, box) to run_all; the cascades of other
-    # orders and levels (convolution's phi^{2m}) still check their own.
-    calls = []
-    original = cascade.check_level
+    # The profile builds phi^m's refinement data once; the early level check,
+    # the battery and the mask share it.  Convolution's phi^{2m} builds its own.
+    built = []
+    original = cascade.support_box
 
-    def counted(A, m0, m, J):
-        calls.append((m, J))
-        return original(A, m0, m, J)
-    monkeypatch.setattr(cascade, "check_level", counted)
+    def counted(A, rc):
+        built.append(rc.c)
+        return original(A, rc)
+    monkeypatch.setattr(cascade, "support_box", counted)
     code, _ = run_cli(capsys, command, "--matrix", "1,-2;1,0", "--m", "2", "--J", "4",
                       "--grid-n", "64", "--out", str(tmp_path))
     assert code == 0
-    assert calls.count((2, 4)) == 1
+    p = spectral.make_profile([[1, -2], [1, 0]])
+    order_2 = trigpoly.refinement_coefficients(p.m0 ** 2, p.q).c
+    order_4 = trigpoly.refinement_coefficients(p.m0 ** 4, p.q).c
+    assert built.count(order_2) == 1
+    assert built.count(order_4) == 1
+
+
+def test_report_raises_the_mask_to_the_power_m_once(capsys, tmp_path, monkeypatch):
+    exponents = []
+    original = trigpoly.TrigPoly.__pow__
+
+    def counted(self, m):
+        exponents.append(m)
+        return original(self, m)
+    monkeypatch.setattr(trigpoly.TrigPoly, "__pow__", counted)
+    code, _ = run_cli(capsys, "report", "--matrix", "1,-1;1,1", "--m", "2", "--J", "4",
+                      "--grid-n", "64", "--out", str(tmp_path))
+    assert code == 0
+    assert exponents.count(2) == 1  # mask.json and the cascade share m0^2
+
+
+def test_digit_count_past_the_cap_is_a_config_error(capsys, tmp_path, monkeypatch):
+    # Lowered here so the check is quick.  At the real cap of 2^16 digits a
+    # matrix such as 1000 I (q = 10^6) is rejected instead of listing them all.
+    monkeypatch.setattr(digits, "MAX_DIGITS", 3)
+    assert run_cli(capsys, "analyze", "--matrix", "1,-1;1,1")[0] == 0
+    for command in ("analyze", "mask", "spectrum", "eval", "verify", "report"):
+        out = tmp_path / command
+        code = cli.main([command, "--matrix", "2,0;0,2", "--J", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: matrix has q = |det| = 4 digits; at most 3 are allowed\n")
+        assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("matrix", ["1,-2;1,0", "2,0;0,2"])

@@ -109,25 +109,25 @@ def test_stencil_reduces_polynomial_degree(name, profiles):
 
 def test_operator_relation_quincunx(profiles):
     p = profiles("A1", 2)
-    assert operators.verify_operator_relation(p, 2, 1) < 1e-7
+    assert operators.verify_operator_relation(p, 1) < 1e-7
 
 
 def test_operator_relation_univariate_exact(profiles):
     p = profiles("uni", 2)
-    assert operators.verify_operator_relation(p, 2, 1) < 1e-10
+    assert operators.verify_operator_relation(p, 1) < 1e-10
 
 
 @pytest.mark.parametrize("name", ["A1", "A3", "A4"])
 def test_operator_relation_m3(name, profiles):
     p = profiles(name, 3)
-    assert operators.verify_operator_relation(p, 3, 1) < 1e-6
-    assert operators.verify_operator_relation(p, 3, 2) < 1e-6
+    assert operators.verify_operator_relation(p, 1) < 1e-6
+    assert operators.verify_operator_relation(p, 2) < 1e-6
 
 
 def test_operator_relation_rejects_k_ge_m(profiles):
     p = profiles("A1", 2)
     with pytest.raises(ValueError):
-        operators.verify_operator_relation(p, 3, 3)
+        operators.verify_operator_relation(p, 2)  # k = m
 
 
 def test_green_combination_univariate(profiles):

@@ -42,7 +42,7 @@ def test_total_positivity(profiles):
 def test_total_positivity_detects_negative(profiles, monkeypatch):
     orig = spectral.phi_hat
     monkeypatch.setattr(spectral, "phi_hat",
-                        lambda p, xi, tol=None, order=None: -orig(p, xi, tol, order))
+                        lambda p, xi: -orig(p, xi))
     assert check_total_positivity(profiles("A1"), 32) < -1e-10
 
 
@@ -71,22 +71,23 @@ def test_convolution_residuals(profiles):
     # Richardson-extrapolated rectangle sums: the O(h^{2m}) aliasing term
     # (h = q^{-J/d}; quincunx m=1 ~0.45 h^2 raw) is removed, and what remains
     # is of higher order; these are regression bounds above the measured values
-    assert check_convolution(profiles("uni"), 1, 1, 6) < 5e-4
-    assert check_convolution(profiles("A1"), 1, 1, 6) < 8e-3
-    assert check_convolution(profiles("A1"), 2, 2, 5) < 1e-5
+    assert check_convolution(profiles("uni"), 6) < 5e-4
+    assert check_convolution(profiles("A1"), 6) < 8e-3
+    assert check_convolution(profiles("A1", 2), 5) < 1e-5
 
 
 def test_convolution_scaling(profiles):
-    r5 = check_convolution(profiles("A1"), 1, 1, 5)
-    r7 = check_convolution(profiles("A1"), 1, 1, 7)
+    r5 = check_convolution(profiles("A1"), 5)
+    r7 = check_convolution(profiles("A1"), 7)
     assert r7 < 0.35 * r5  # measured r7/r5 = 0.11 after the Richardson step
 
 
 def test_convolution_rejects_zero_order(profiles):
+    # The order is the profile's, and a profile of order 0 cannot be made.
     with pytest.raises(ValueError):
-        check_convolution(profiles("uni"), 1, 0, 4)
+        spectral.make_profile([[2]], m=0)
     with pytest.raises(ValueError):
-        check_convolution(profiles("uni"), 1, 1, 0)  # no coarser level
+        check_convolution(profiles("uni"), 0)  # no coarser level
 
 
 def test_reproduction_quincunx_harmonics(profiles, grids):
@@ -218,12 +219,12 @@ def test_run_all_reads_each_shift_sum_with_one_lookup(profiles, monkeypatch):
     # Partition of unity and each reproduction candidate read their whole
     # shift matrix through one LatticeGrid.shifts call.
     calls, per_check = [0], []
-    lookup = cascade.LatticeGrid.lookup
+    shifts = cascade.LatticeGrid.shifts
 
-    def counted_lookup(self, idx):
+    def counted_shifts(self, idx, ks):
         calls[0] += 1
-        return lookup(self, idx)
-    monkeypatch.setattr(cascade.LatticeGrid, "lookup", counted_lookup)
+        return shifts(self, idx, ks)
+    monkeypatch.setattr(cascade.LatticeGrid, "shifts", counted_shifts)
     for name in ("check_partition_of_unity", "check_polynomial_reproduction"):
         def counted(*args, _check=getattr(properties, name), _name=name, **kwargs):
             before = calls[0]
