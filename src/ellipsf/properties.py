@@ -207,12 +207,12 @@ def check_nonnegativity(grid: LatticeGrid) -> float:
     return float(np.min(grid.values))
 
 
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    shape = [sa + sb - 1 for sa, sb in zip(a.shape, b.shape)]
+def _fft_autoconvolve(a: np.ndarray) -> np.ndarray:
+    """Full linear convolution a * a, from one forward transform."""
+    shape = [2 * n - 1 for n in a.shape]
     axes = list(range(a.ndim))
     fa = np.fft.rfftn(a, shape, axes=axes)
-    fb = np.fft.rfftn(b, shape, axes=axes)
-    return np.fft.irfftn(fa * fb, shape, axes=axes)
+    return np.fft.irfftn(fa * fa, shape, axes=axes)
 
 
 _NO_COARSER_LEVEL = "need J >= 1: level J - 1 is the coarser Richardson level"
@@ -223,10 +223,10 @@ _NO_OFF_INTEGER_LEVEL = ("need J >= 1: on integer points alone the "
                          "expected-failure candidate cannot fail")
 
 
-def _rectangle_sums(g1: LatticeGrid, g2: LatticeGrid, idx: np.ndarray) -> np.ndarray:
-    """q^{-j} sum_k g1[k] g2[n - k] at the level-j index vectors n (rows of idx)."""
-    conv = _fft_convolve(g1.data, g2.data) * g1.quadrature_weight
-    pos = idx - (g1.offset + g2.offset)
+def _rectangle_sums(g: LatticeGrid, idx: np.ndarray) -> np.ndarray:
+    """q^{-j} sum_k g[k] g[n - k] at the level-j index vectors n (rows of idx)."""
+    conv = _fft_autoconvolve(g.data) * g.quadrature_weight
+    pos = idx - 2 * g.offset
     ok = np.all((pos >= 0) & (pos < np.array(conv.shape)), axis=1)
     out = np.zeros(len(idx))
     out[ok] = conv[tuple(pos[ok].T)]
@@ -257,9 +257,9 @@ def check_convolution(profile: SpectralProfile, J: int, grid: LatticeGrid | None
     g = grid if grid is not None else cascade.sample_phi_m(A, m0, m, J)
     g2m = cascade.sample_phi_m(A, m0, 2 * m, J - 1)
     idx = g2m.index_points
-    fine = _rectangle_sums(g, g, idx @ A.entries.T)
+    fine = _rectangle_sums(g, idx @ A.entries.T)
     c = cascade.coarsen(g)
-    coarse = _rectangle_sums(c, c, idx)
+    coarse = _rectangle_sums(c, idx)
     r = float(profile.q) ** (2 * m / profile.d)
     extrapolated = (r * fine - coarse) / (r - 1.0)
     if detail is not None:

@@ -311,21 +311,26 @@ def build_mask(A: DilationMatrix, G: TrigPoly, ds: DigitSet) -> TrigPoly:
     """Mask m0(xi) = prod_{s in S(A^T)\\{0}} G(xi + 2 pi s) / G(2 pi s).
 
     `ds` must be the digit set of A^T.  Raises MaskPoleAtDigit when some
-    G(2 pi s) vanishes, in which case the construction is undefined.
+    G(2 pi s) vanishes, in which case the construction is undefined, and
+    NumericalBreakdown when their product overflows or underflows (at 32I,
+    1,023 factors); it is formed before any numerator product.
     """
     expected = tuple(tuple(int(v) for v in row) for row in A.entries.T)
     if ds.matrix != expected:
         raise ValueError("digit set does not belong to A^T")
     shifts = ds.nonzero_S()
-    num = TrigPoly.constant(G.d)
     den = 1.0
     scale = max(abs(c) for c in G.coeffs.values())
     for s in shifts:
         g = G.eval_at_two_pi(s)
         if abs(g) <= 1e-12 * scale:
             raise MaskPoleAtDigit(f"G(2 pi {tuple(map(str, s))}) = {g:.3e}")
-        num = num * G.shift_argument(s)
         den *= g.real if abs(g.imag) <= 1e-12 * abs(g) else g
+    if den == 0 or not cmath.isfinite(den):
+        raise NumericalBreakdown(f"the product of the {len(shifts)} values G(2 pi s) is {den}")
+    num = TrigPoly.constant(G.d)
+    for s in shifts:
+        num = num * G.shift_argument(s)
     mask = num * (1.0 / den)
     return mask.realify()
 

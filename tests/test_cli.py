@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -201,6 +202,17 @@ def test_B_grid_past_the_cell_cap_is_a_config_error(capsys, tmp_path, monkeypatc
         assert capsys.readouterr().err == (
             "config error: grid_n=65 needs a B grid of 4225 points; at most 4096 are allowed\n")
         assert not out.exists() or not any(out.iterdir())
+
+
+def test_mask_denominator_overflow_exit_2(capsys):
+    # At 32I the product of the 1,023 values G(2 pi s) passes 1e308; with an
+    # infinite denominator every coefficient would be dropped and the mask
+    # printed as "0".  It is checked before any numerator product is built.
+    start = time.perf_counter()
+    code, (out, err) = cli.main(["mask", "--matrix", "32,0;0,32"]), capsys.readouterr()
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "")
+    assert err == "numerical breakdown: the product of the 1023 values G(2 pi s) is inf\n"
 
 
 def test_numerical_breakdown_in_the_profile_exit_2(capsys, tmp_path):

@@ -1,11 +1,17 @@
 """Byte identity of the blocked CSV writers against number-by-number formatting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ellipsf import cascade, cli, ioutils, spectral
 
 EDGE = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]
+# Values that compare equal, or unequal to themselves, but differ in their
+# bits: the distinct-coordinate tables must keep 0.0 and -0.0 apart, and both
+# NaN signs print as "nan".
+SIGNED = [0.0, -0.0, np.nan, -np.nan, 1.0 / 3.0, -1.0 / 3.0, 5e-324, -5e-324]
 C3 = [[0, 0, 2], [1, 0, 0], [0, 1, 0]]
 
 
@@ -31,22 +37,32 @@ def first_difference(text, expected):
     return i, got[i:i + 1], want[i:i + 1], len(got), len(want)
 
 
-def field(n, d, seed):
-    """n rows of d coordinates and a value; the edge values lead both columns."""
+def field(n, d, seed, pool=None):
+    """n rows of d coordinates and a value; the edge values lead both columns.
+
+    With a `pool`, coordinates and values are drawn from it, so every
+    distinct value repeats across many rows and across block boundaries.
+    """
     rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, (n, d))
-    vals = rng.standard_normal(n) / 3.0
+    if pool is None:
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, (n, d))
+        vals = rng.standard_normal(n) / 3.0
+    else:
+        pts, vals = rng.choice(pool, (n, d)), rng.choice(pool, n)
     k = min(n, len(EDGE))
     vals[:k] = EDGE[:k]
     pts[:k, 0] = EDGE[::-1][:k]
     return pts, vals
 
 
+SIZES = [0, 1, len(EDGE), ioutils._CSV_BLOCK - 1, ioutils._CSV_BLOCK, ioutils._CSV_BLOCK + 1]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("n", [0, 1, len(EDGE), ioutils._CSV_BLOCK - 1,
-                               ioutils._CSV_BLOCK, ioutils._CSV_BLOCK + 1])
-def test_field_csv_matches_per_number_formatting(d, n):
-    pts, vals = field(n, d, seed=1000 * d + n)
+@pytest.mark.parametrize("n, pool", [pytest.param(n, None, id=str(n)) for n in SIZES]
+                         + [pytest.param(n, SIGNED, id=f"{n}-repeats") for n in SIZES])
+def test_field_csv_matches_per_number_formatting(d, n, pool):
+    pts, vals = field(n, d, seed=1000 * d + n, pool=pool)
     header = "# " + ",".join(f"xi_{i + 1}" for i in range(d)) + ",mu"
     assert first_difference(ioutils.field_csv(pts, vals, header),
                             reference_csv(header, pts, vals)) is None
@@ -66,6 +82,15 @@ def test_edge_values_render_as_format_float():
     assert [r.split(",")[0] for r in rows] == [ioutils.format_float(x) for x in EDGE]
 
 
+def test_signed_zeros_and_nans_keep_their_own_text():
+    column = np.array(SIGNED * 3)
+    assert np.signbit(column[3]) and np.isnan(column[3])
+    text = ioutils.field_csv(column[:, None], column, "# x,v")
+    expected = ["0", "-0", "nan", "nan", "0.33333333333333331", "-0.33333333333333331",
+                "4.9406564584124654e-324", "-4.9406564584124654e-324"] * 3
+    assert text.splitlines()[1:] == [f"{x},{x}" for x in expected]
+
+
 @pytest.mark.parametrize("matrix, m, J", [([[2]], 2, 4), ([[1, -1], [1, 1]], 1, 4), (C3, 1, 1)])
 def test_grid_csv_across_block_boundaries(monkeypatch, matrix, m, J):
     p = spectral.make_profile(matrix, m=m)
@@ -75,6 +100,23 @@ def test_grid_csv_across_block_boundaries(monkeypatch, matrix, m, J):
     for block in (1, n - 1, n, n + 1):
         monkeypatch.setattr(ioutils, "_CSV_BLOCK", block)
         assert first_difference(ioutils.grid_csv(grid), expected) is None
+
+
+def test_grid_csv_peak_stays_near_its_text():
+    # The points are dropped once their distinct values are formatted, and
+    # the text is joined once the tables are gone: the peak is the block
+    # texts, the joined text and the tables, about 2.3 times the text
+    # (formatting every number of a stacked block peaked at 2.64 times).
+    p = spectral.make_profile([[1, -2], [1, 0]], m=2)
+    grid = cascade.sample_phi_m(p.A, p.m0, 2, 9)
+    tracemalloc.start()
+    try:
+        text = ioutils.grid_csv(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 3_000_000
+    assert peak <= 2.5 * len(text)
 
 
 @pytest.mark.parametrize("matrix, m, J", [(C3, 1, 3), ([[2, 0], [0, 2]], 2, 3)])

@@ -61,7 +61,7 @@ def test_convolution_univariate_matches_cubic_bspline(profiles):
     # the discretized hat*hat against the closed-form cubic B-spline
     p = profiles("uni")
     g1 = cascade.sample_phi_m(p.A, p.m0, 1, 6)
-    conv = properties._fft_convolve(g1.data, g1.data) * g1.quadrature_weight
+    conv = properties._fft_autoconvolve(g1.data) * g1.quadrature_weight
     offset = 2 * g1.offset[0]
     xs = (np.arange(conv.shape[0]) + offset) * 2.0 ** -6
     assert np.max(np.abs(conv - helpers.cubic_bspline(xs))) < 5e-4
