@@ -105,8 +105,8 @@ def test_grid_csv_across_block_boundaries(monkeypatch, matrix, m, J):
 def test_grid_csv_peak_stays_near_its_text():
     # The points are dropped once their distinct values are formatted, and
     # the text is joined once the tables are gone: the peak is the block
-    # texts, the joined text and the tables, about 2.3 times the text
-    # (formatting every number of a stacked block peaked at 2.64 times).
+    # texts and the joined text, about 2.3 times the text (formatting every
+    # number of a stacked block, with the points alive, peaked at 2.64).
     p = spectral.make_profile([[1, -2], [1, 0]], m=2)
     grid = cascade.sample_phi_m(p.A, p.m0, 2, 9)
     tracemalloc.start()
