@@ -341,36 +341,34 @@ def integer_values(A: DilationMatrix, rc: RefinementCoefficients,
     return grid
 
 
-def shift_accumulate(dst: LatticeGrid, src: LatticeGrid, shift, weight: float):
-    """dst[j] += weight * src[j - shift] on the overlap of the index ranges.
+def scatter_taps(dst: LatticeGrid, src: LatticeGrid, shifts: np.ndarray, weights) -> LatticeGrid:
+    """dst[j] += w * src[j - s] for each tap: s a row of the (taps, d) int64
+    `shifts`, w its weight.  Returns dst.
 
-    Pure dense slice arithmetic; contributions falling outside dst's stored
-    range are exact zeros of the refinement algebra and may be dropped.
+    The overlaps of all taps come from one vectorized step, then one slice add
+    per tap, in tap order.  Contributions outside dst's stored range are exact
+    zeros of the refinement algebra and are dropped.
     """
-    shift = np.asarray(shift, dtype=np.int64)
-    dshape = np.array(dst.data.shape, dtype=np.int64)
-    sshape = np.array(src.data.shape, dtype=np.int64)
-    lo = np.maximum(dst.offset, src.offset + shift)
-    hi = np.minimum(dst.offset + dshape, src.offset + shift + sshape)
-    if np.any(hi <= lo):
-        return
-    dsl = tuple(slice(int(a - o), int(b - o)) for a, b, o in zip(lo, hi, dst.offset))
-    ssl = tuple(slice(int(a - o), int(b - o))
-                for a, b, o in zip(lo - shift, hi - shift, src.offset))
-    dst.data[dsl] += weight * src.data[ssl]
+    lo = np.maximum(dst.offset, src.offset + shifts)
+    hi = np.minimum(dst.offset + dst.data.shape, src.offset + shifts + src.data.shape)
+    meets = np.all(hi > lo, axis=1).tolist()
+    bounds = zip((lo - dst.offset).tolist(), (hi - dst.offset).tolist(),
+                 (lo - shifts - src.offset).tolist(), (hi - shifts - src.offset).tolist())
+    for w, ok, (dlo, dhi, slo, shi) in zip(weights, meets, bounds):
+        if ok:
+            view = dst.data[tuple(map(slice, dlo, dhi))]
+            view += w * src.data[tuple(map(slice, slo, shi))]
+    return dst
 
 
 def refine(A: DilationMatrix, rc: RefinementCoefficients, grid: LatticeGrid) -> LatticeGrid:
     """One subdivision step: level J values to level J + 1.
 
     new[j] = sum_k c_k old[j - A^J k]; all index arithmetic exact.  Realized
-    as a scatter: each tap adds a shifted copy of the coarse array.
+    as one scatter: each tap adds a shifted copy of the coarse array.
     """
-    out = _empty_grid(A, grid.box, grid.J + 1)
-    AJ = A.power(grid.J)
-    for k, ck in rc.c.items():
-        shift_accumulate(out, grid, AJ @ np.array(k, dtype=np.int64), ck)
-    return out
+    shifts = np.array(list(rc.c), dtype=np.int64).reshape(-1, A.d) @ A.power(grid.J).T
+    return scatter_taps(_empty_grid(A, grid.box, grid.J + 1), grid, shifts, rc.c.values())
 
 
 def coarsen(grid: LatticeGrid) -> LatticeGrid:
@@ -384,14 +382,21 @@ def coarsen(grid: LatticeGrid) -> LatticeGrid:
     return out
 
 
-def sample_phi_m(A: DilationMatrix, m0: TrigPoly, m: int, J: int) -> LatticeGrid:
-    """Cascade phi^m to level J from (m0)^m; an oversize level raises ConfigError first."""
-    if m < 1 or J < 0:
-        raise ValueError("need m >= 1 and J >= 0")
-    rc = refinement_coefficients(m0 ** m, A.q)
-    box = support_box(A, rc)
+def sample_phi(A: DilationMatrix, rc: RefinementCoefficients, box: SupportBox, J: int) -> LatticeGrid:
+    """Cascade the function with coefficients rc and support box to level J;
+    an oversize level raises ConfigError first."""
+    if J < 0:
+        raise ValueError("need J >= 0")
     grid_bounds(A, box, J)
     grid = integer_values(A, rc, box)
     for _ in range(J):
         grid = refine(A, rc, grid)
     return grid
+
+
+def sample_phi_m(A: DilationMatrix, m0: TrigPoly, m: int, J: int) -> LatticeGrid:
+    """Cascade phi^m to level J from (m0)^m; an oversize level raises ConfigError first."""
+    if m < 1 or J < 0:
+        raise ValueError("need m >= 1 and J >= 0")
+    rc = refinement_coefficients(m0 ** m, A.q)
+    return sample_phi(A, rc, support_box(A, rc), J)

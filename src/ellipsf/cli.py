@@ -3,7 +3,8 @@
 Subcommands: analyze | mask | spectrum | eval | verify | report.
 Exit codes: 0 pass, 1 property failure, 2 config error, 3 non-isotropic
 matrix, 4 mask pole at a digit point.  All outputs are deterministic for a
-fixed config and seed; files are written atomically.
+fixed config, seed, numpy/BLAS build and BLAS thread count; files are
+written atomically.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def cmd_spectrum(cfg: JobConfig, profile: spectral.SpectralProfile, B: float,
 
 def cmd_eval(cfg: JobConfig):
     profile = _profile(cfg)
-    grid = cascade.sample_phi_m(profile.A, profile.m0, cfg.m, cfg.J)
+    grid = cascade.sample_phi(profile.A, *profile.refinement, cfg.J)
     return EXIT_OK, [("grid.csv", ioutils.grid_csv(grid))]
 
 

@@ -1,7 +1,8 @@
 """Deterministic JSON/CSV emission and atomic file writes.
 
-Floats are rendered with 17 significant digits ('.' decimal point) so output
-is bit-stable across platforms and round-trips exactly.
+Floats are rendered with 17 significant digits ('.' decimal point), so the
+text round-trips exactly; it is bit-stable for a fixed numpy/BLAS build and
+BLAS thread count, which can move last bits of the values.
 """
 
 from __future__ import annotations

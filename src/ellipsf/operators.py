@@ -32,16 +32,12 @@ def apply_stencil(G: TrigPoly, grid: LatticeGrid, k: int = 1) -> LatticeGrid:
     if k < 1:
         raise ValueError("power k must be >= 1")
     taps = G.real_coeffs()
-    AJ = grid.A.power(grid.J)
-    offs = np.array(list(taps), dtype=np.int64)
+    offs = np.array(list(taps), dtype=np.int64).reshape(-1, grid.A.d)
+    shifts = offs @ grid.A.power(grid.J).T
     out = grid
     for _ in range(k):
-        box = cascade.SupportBox(out.box.lo + offs.min(axis=0),
-                                 out.box.hi + offs.max(axis=0))
-        nxt = _empty_grid(grid.A, box, grid.J)
-        for n, w in taps.items():
-            cascade.shift_accumulate(nxt, out, AJ @ np.asarray(n, dtype=np.int64), w)
-        out = nxt
+        box = cascade.SupportBox(out.box.lo + offs.min(axis=0), out.box.hi + offs.max(axis=0))
+        out = cascade.scatter_taps(_empty_grid(grid.A, box, grid.J), out, shifts, taps.values())
     return out
 
 

@@ -108,13 +108,18 @@ def _shifts_meeting(box: SupportBox, lo, hi) -> np.ndarray:
     return np.array(list(product(*ranges)), dtype=np.int64).reshape(-1, len(ranges))
 
 
+def _pick(count: int, n: int, seed: int) -> np.ndarray:
+    """Up to n distinct positions in range(count), drawn with the seed."""
+    return np.random.default_rng(seed).choice(count, size=min(n, count), replace=False)
+
+
 def _sample(grid: LatticeGrid, n: int, seed: int, window: float = math.inf):
     """Up to n distinct in-box index vectors j with |A^{-J} j|_inf <= window,
     drawn with the seed, and their points A^{-J} j."""
     idx, x = grid.index_points, grid.cartesian_points()
     near = np.all(np.abs(x) <= window, axis=1)
     idx, x = idx[near], x[near]
-    pick = np.random.default_rng(seed).choice(len(idx), size=min(n, len(idx)), replace=False)
+    pick = _pick(len(idx), n, seed)
     return idx[pick], x[pick]
 
 
@@ -130,7 +135,8 @@ def check_partition_of_unity(grid: LatticeGrid, n_samples: int = PARTITION_SAMPL
     """Max over sample points of |sum_k phi(x - k) - 1|."""
     if grid.J < _PARTITION_MIN_J:
         raise ValueError(_NO_PARTITION_LEVEL)
-    sel, _ = _sample(grid, n_samples, seed)
+    idx = grid.index_points  # _sample's picks for an unbounded window, without points
+    sel = idx[_pick(len(idx), n_samples, seed)]
     S = grid.shifts(sel, _shifts_meeting(grid.box, grid.box.lo, grid.box.hi))
     return max(abs(math.fsum(row) - 1.0) for row in S)
 
@@ -254,7 +260,7 @@ def check_convolution(profile: SpectralProfile, J: int, grid: LatticeGrid | None
     if grid is not None and grid.J != J:
         raise ValueError(f"grid is at level {grid.J}, not {J}")
     A, m0, m = profile.A, profile.m0, profile.m
-    g = grid if grid is not None else cascade.sample_phi_m(A, m0, m, J)
+    g = grid if grid is not None else cascade.sample_phi(A, *profile.refinement, J)
     g2m = cascade.sample_phi_m(A, m0, 2 * m, J - 1)
     idx = g2m.index_points
     fine = _rectangle_sums(g, idx @ A.entries.T)
@@ -268,21 +274,23 @@ def check_convolution(profile: SpectralProfile, J: int, grid: LatticeGrid | None
 
 
 def check_polynomial_reproduction(profile: SpectralProfile, p: Polynomial,
-                                  grid: LatticeGrid | None = None, seed: int = 3):
+                                  grid: LatticeGrid | None = None, seed: int = 3,
+                                  sample=None):
     """Shift-sum r(x) = sum_k p(k) phi(x - k) tested for leading-term
     reproduction r = p + (degree < deg p) at 60 points of [-2, 2]^d.
 
-    Returns (leading_ok, residual_degree, fit_residual).  leading_ok is the
-    verdict of a least-squares fit of r - p against monomials of lower
+    `sample`, if given, is _sample(grid, 60, seed, 2.0) drawn once by the
+    caller.  Returns (leading_ok, residual_degree, fit_residual).  leading_ok
+    is the verdict of a least-squares fit of r - p against monomials of lower
     degree; polynomials outside the operator null space are expected to fail
     it, and that expected failure is asserted by the caller.
     """
     if p.total_degree > 2 * profile.m + 1:
         raise DegreeTooHigh(f"degree {p.total_degree} exceeds 2m + 1 = {2 * profile.m + 1}")
     if grid is None:
-        grid = cascade.sample_phi_m(profile.A, profile.m0, profile.m, 5)
+        grid = cascade.sample_phi(profile.A, *profile.refinement, 5)
     d = profile.d
-    sel, xs = _sample(grid, 60, seed, 2.0)
+    sel, xs = sample if sample is not None else _sample(grid, 60, seed, 2.0)
     ks = _shifts_meeting(grid.box, [-2.0] * d, [2.0] * d)
     r = np.zeros(len(sel))
     for w, col in zip(p.eval(ks.astype(float)), grid.shifts(sel, ks).T):
@@ -344,7 +352,7 @@ def check_approximation_order(profile: SpectralProfile, f=None):
     d, levels, window, oversample = profile.d, (2, 3, 4), 3.0, 3
     if f is None:
         f = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=-1))
-    grid_r = cascade.sample_phi_m(profile.A, profile.m0, profile.m, oversample)
+    grid_r = cascade.sample_phi(profile.A, *profile.refinement, oversample)
     corners = np.array(list(product((-window, window), repeat=d)))
     errs = []
     for J in levels:
@@ -424,10 +432,14 @@ def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0) -> Pr
     try:
         rc, box = profile.refinement
         cascade.grid_bounds(profile.A, box, J)
+        grid0 = grid = cascade.integer_values(profile.A, rc, box)
+        for _ in range(J):
+            grid = cascade.refine(profile.A, rc, grid)
     except ConfigError:
         raise
     except Exception as exc:
         grid_err = exc
+        grid = grid0 = None
 
     def record(name, fn, tolerance, skip_reason=None, note=None, passes=None):
         """Run fn and file its residual; by default it passes at or below tolerance."""
@@ -455,15 +467,6 @@ def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0) -> Pr
     # constructions that only exist as distributions.
     record("riesz_basis", lambda: B, None,
            passes=lambda _: bool(spectral.riesz_verdict(profile, B)[0]))
-
-    if grid_err is None:
-        try:
-            grid0 = grid = cascade.integer_values(profile.A, rc, box)
-            for _ in range(J):
-                grid = cascade.refine(profile.A, rc, grid)
-        except Exception as exc:
-            grid_err = exc
-            grid = grid0 = None
 
     skip = None if grid is not None else f"{type(grid_err).__name__}: {grid_err}"
     record("mass", lambda: abs(grid.mass() - 1.0), TOL_MASS, skip)
@@ -498,9 +501,10 @@ def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0) -> Pr
 
     def reproduction():
         worst = 0.0
+        sample = _sample(grid, 60, seed, 2.0)  # shared by the candidates
         for p, expect in reproduction_cases(profile):
             ok, _, fit = check_polynomial_reproduction(
-                profile, p, grid=grid, seed=seed)
+                profile, p, grid=grid, seed=seed, sample=sample)
             if ok != expect:
                 raise AssertionError(
                     f"degree-{p.total_degree} candidate: expected "

@@ -2,10 +2,13 @@
 
 Everything here deliberately avoids the code paths under test: coefficients
 come from FFT sampling of closed-form expressions, spline values from their
-piecewise formulas, and coset arithmetic from exact rationals.
+piecewise formulas, coset arithmetic from exact rationals, and the cascade's
+scatter from one slice add per tap.
 """
 
 import numpy as np
+
+from ellipsf import cascade
 
 
 def fft_coeffs(func, d, N=16, tol=1e-13):
@@ -89,3 +92,53 @@ REFERENCE_MASKS = {
     "A4": mask_diag2,
     "uni": mask_univariate,
 }
+
+
+# The scatter as it was written before cascade.scatter_taps: every tap finds
+# its own overlap and adds its own slice.  Same adds in the same order, so
+# the results must agree bit for bit.
+
+def shift_accumulate(dst, src, shift, weight):
+    """dst[j] += weight * src[j - shift] on the overlap of the index ranges."""
+    shift = np.asarray(shift, dtype=np.int64)
+    dshape = np.array(dst.data.shape, dtype=np.int64)
+    sshape = np.array(src.data.shape, dtype=np.int64)
+    lo = np.maximum(dst.offset, src.offset + shift)
+    hi = np.minimum(dst.offset + dshape, src.offset + shift + sshape)
+    if np.any(hi <= lo):
+        return
+    dsl = tuple(slice(int(a - o), int(b - o)) for a, b, o in zip(lo, hi, dst.offset))
+    ssl = tuple(slice(int(a - o), int(b - o))
+                for a, b, o in zip(lo - shift, hi - shift, src.offset))
+    dst.data[dsl] += weight * src.data[ssl]
+
+
+def refine_by_taps(A, rc, grid):
+    """One subdivision step, one shift_accumulate call per tap."""
+    out = cascade._empty_grid(A, grid.box, grid.J + 1)
+    AJ = A.power(grid.J)
+    for k, ck in rc.c.items():
+        shift_accumulate(out, grid, AJ @ np.array(k, dtype=np.int64), ck)
+    return out
+
+
+def apply_stencil_by_taps(G, grid, k):
+    """k applications of the stencil with G's taps, one call per tap."""
+    taps = G.real_coeffs()
+    AJ = grid.A.power(grid.J)
+    offs = np.array(list(taps), dtype=np.int64)
+    out = grid
+    for _ in range(k):
+        box = cascade.SupportBox(out.box.lo + offs.min(axis=0),
+                                 out.box.hi + offs.max(axis=0))
+        nxt = cascade._empty_grid(grid.A, box, grid.J)
+        for n, w in taps.items():
+            shift_accumulate(nxt, out, AJ @ np.asarray(n, dtype=np.int64), w)
+        out = nxt
+    return out
+
+
+def same_grid(a, b):
+    """Bit-identical values (0.0 and -0.0 told apart), offset and mask."""
+    return (np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
+            and np.array_equal(a.offset, b.offset) and np.array_equal(a.inside, b.inside))

@@ -221,6 +221,27 @@ def test_refinement_residual_recheck(profiles, grids, rng):
     assert np.max(np.abs(recon - g5.lookup(sel))) < 1e-12
 
 
+@pytest.mark.parametrize("name,m,J", [
+    *[(name, m, 4) for name in ("A1", "A2", "A3", "A4", "uni") for m in (1, 2, 4)],
+    ("C3", 1, 4), ("A3", 2, 7)])
+def test_refine_matches_tap_by_tap_reference(name, m, J, profiles):
+    p = spectral.make_profile(M3) if name == "C3" else profiles(name, m)
+    rc, box = p.refinement
+    grid = cascade.integer_values(p.A, rc, box)
+    for _ in range(J):
+        ref = helpers.refine_by_taps(p.A, rc, grid)
+        grid = cascade.refine(p.A, rc, grid)
+        assert helpers.same_grid(grid, ref)
+
+
+def test_sample_phi_from_the_profile_refinement(profiles):
+    p = profiles("A3", 2)
+    g = cascade.sample_phi(p.A, *p.refinement, 4)
+    assert helpers.same_grid(g, cascade.sample_phi_m(p.A, p.m0, 2, 4))
+    with pytest.raises(ValueError):
+        cascade.sample_phi(p.A, *p.refinement, -1)
+
+
 def test_hat_level3_exact(grids):
     g = grids("uni", 1, 3)
     x = g.cartesian_points()[:, 0]
@@ -395,3 +416,4 @@ def test_sample_phi_m_rejects_before_building_a_level(profiles, monkeypatch):
     monkeypatch.setattr(cascade, "MAX_GRID_CELLS", 1000)
     with pytest.raises(ConfigError):
         cascade.sample_phi_m(p.A, p.m0, 1, 3)
+

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ellipsf import cascade, cli, digits, matana, spectral, trigpoly
+from ellipsf import cascade, cli, digits, ioutils, matana, spectral, trigpoly
 from ellipsf.errors import MaskPoleAtDigit
 
 import helpers
@@ -427,3 +427,13 @@ def test_float_formatting_17g(tmp_path, capsys):
     q2 = np.array(doc["Q2"])
     _, out2 = run_cli(capsys, "analyze", "--matrix", "1,-2;1,0")
     assert np.array_equal(q2, np.array(json.loads(out2)["Q2"]))
+
+
+def test_eval_cascades_from_the_profile_refinement(capsys, monkeypatch, grids):
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("mask and refinement data rebuilt")
+    monkeypatch.setattr(cascade, "sample_phi_m", no_rebuild)
+    code, out = run_cli(capsys, "eval", "--matrix", "1,-1;1,1", "--J", "3")
+    assert code == 0
+    monkeypatch.undo()
+    assert out == ioutils.grid_csv(grids("A1", 1, 3))

@@ -191,3 +191,11 @@ def test_apply_stencil_grows_box(profiles, grids):
     out = operators.apply_stencil(build_G(profiles("A1").Q2), g)
     assert np.all(out.box.lo == g.box.lo - 1)
     assert np.all(out.box.hi == g.box.hi + 1)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "uni"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_apply_stencil_matches_tap_by_tap_reference(name, k, profiles, grids):
+    p, g = profiles(name), grids(name, 1, 3)
+    out = operators.apply_stencil(p.G, g, k)
+    assert helpers.same_grid(out, helpers.apply_stencil_by_taps(p.G, g, k))

@@ -239,6 +239,45 @@ def test_run_all_reads_each_shift_sum_with_one_lookup(profiles, monkeypatch):
         ("check_polynomial_reproduction", 1)] * len(properties.reproduction_cases(p))
 
 
+def test_run_all_computes_lattice_points_once(profiles, monkeypatch):
+    # The reproduction candidates share one sample of [-2, 2]^d, and the
+    # unbounded partition window needs index vectors only.
+    calls = [0]
+    points = cascade.LatticeGrid.cartesian_points
+
+    def counted(self):
+        calls[0] += 1
+        return points(self)
+    monkeypatch.setattr(cascade.LatticeGrid, "cartesian_points", counted)
+    st = _statuses(_run_all(profiles("A1", 1), J=5))
+    assert st["partition_of_unity"] == st["polynomial_reproduction"] == "pass"
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_partition_picks_the_unbounded_sample(grids, seed, monkeypatch):
+    g = grids("A1", 1, 5)
+    seen = []
+    shifts = cascade.LatticeGrid.shifts
+
+    def recorded(self, idx, ks):
+        seen.append(np.array(idx))
+        return shifts(self, idx, ks)
+    monkeypatch.setattr(cascade.LatticeGrid, "shifts", recorded)
+    check_partition_of_unity(g, n_samples=40, seed=seed)
+    assert np.array_equal(seen[0], properties._sample(g, 40, seed)[0])
+
+
+def test_reproduction_fallback_cascades_from_the_profile(profiles, monkeypatch):
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("mask and refinement data rebuilt")
+    monkeypatch.setattr(cascade, "sample_phi_m", no_rebuild)
+    p = profiles("A1", 1)
+    one = properties.Polynomial.from_terms(2, ((0, 0), 1.0))
+    assert check_polynomial_reproduction(p, one) == check_polynomial_reproduction(
+        p, one, grid=cascade.sample_phi(p.A, *p.refinement, 5))
+
+
 def test_run_all_a2_riesz_fails_report_completes(profiles):
     report = _run_all(profiles("A2", 1), J=4)
     st = _statuses(report)
