@@ -23,8 +23,9 @@ Taylor term G4 of G = P + G4 + O(|eta|^6),
     h(eta) = -eta^T S eta / 2 - G4(eta) / P(eta)
 
 is log M(eta) to O(P(eta)^2).  So M_eval closes with exp(h(eta)) and phi_hat
-with (G/P)(eta) exp(h(eta)).  In one dimension phi_hat_1 = G/P exactly, and
-h vanishes up to rounding.  The depth J is derived, not calibrated:
+with (G/P)(eta) exp(h(eta)).  In one dimension phi_hat_1 = G/P exactly and h
+vanishes identically, so there the closure is exact and the depth is 0.
+Elsewhere the depth J is derived, not calibrated:
 SpectralProfile.tail_bound bounds the log of the closure's error by
 K P(eta)^2 from the mask and G alone, and J is the smallest depth that takes
 this below tol for every row of the batch.
@@ -41,24 +42,28 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import digits as digits_mod
 from . import cascade, matana, trigpoly
-from .errors import ConfigError, NotIsotropic
+from .errors import ConfigError, NotIsotropic, NumericalBreakdown
 from .matana import DilationMatrix, QuadraticForm
 from .trigpoly import RefinementCoefficients, TrigPoly
 
 TWO_PI = 2.0 * math.pi
+# pi to 50 digits: estimate_B's grid rows and phases are pi times exact
+# rationals, rounded once from the exact (Fraction) or extended value.
+_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510"
+_PI, _PI_LD = Fraction(_PI_DIGITS), np.longdouble(_PI_DIGITS)
 # |eta| below which mu, G/P and the closure return their limit 1: there the
 # squares in the sin-form quotients underflow (at |eta| = 1e-160 they are off
 # by 1e-3).
 LIMIT_RADIUS = 1e-150
 DEFAULT_TOL = 1e-9
-# Rows per block of estimate_B's tensor grid pass: each block gathers its rows
-# and their sines from the per-axis tables, and its (N, d) gathers and m0's
-# (N, terms) phase array stay near the CPU caches.
+# Rows per block of estimate_B's grid pass: a block's integer phases, table
+# gathers and values are (rows,) arrays that stay near the CPU caches.
 GRID_BLOCK = 1 << 14
 # Halvings of estimate_B's zoom step, from one grid cell down to 2^-26 cells.
 ZOOM_ROUNDS = 27
@@ -223,17 +228,12 @@ def _pointwise(f):
     return lifted
 
 
-def _mu_direct(profile: SpectralProfile, eta: np.ndarray,
-               G_eta: np.ndarray | None = None) -> np.ndarray:
-    """q^{2/d} m0(B eta) G(B eta) / G(eta) for |eta| >= LIMIT_RADIUS.
-
-    G_eta, when given, is G(eta) already computed (estimate_B's sine tables).
-    """
+def _mu_direct(profile: SpectralProfile, eta: np.ndarray) -> np.ndarray:
+    """q^{2/d} m0(B eta) G(B eta) / G(eta) for |eta| >= LIMIT_RADIUS."""
     B = profile.contraction
     Beta = eta @ B.T
     num = profile.m0.eval_real(Beta) * trigpoly.eval_G_stable(profile.Q2, Beta)
-    den = trigpoly.eval_G_stable(profile.Q2, eta) if G_eta is None else G_eta
-    return profile.q ** (2.0 / profile.d) * num / den
+    return profile.q ** (2.0 / profile.d) * num / trigpoly.eval_G_stable(profile.Q2, eta)
 
 
 @_pointwise
@@ -260,13 +260,16 @@ def _truncation_depth(profile: SpectralProfile, x: np.ndarray, tol: float | None
     and P(eta) <= p_max for every row xi of x (SpectralProfile.tail_bound).
 
     Then the closure moves phi_hat_1 and M by a factor within
-    [1/(1 + tol), 1 + tol].  Raises ConfigError when J exceeds MAX_DEPTH or
-    P overflows on a row.
+    [1/(1 + tol), 1 + tol].  In one dimension the closure is exact
+    (phi_hat_1 = G/P, h = 0), so J = 0 there.  Raises ConfigError when J
+    exceeds MAX_DEPTH or P overflows on a row.
     """
     if tol is None:
         tol = profile.truncation_tol
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if profile.d == 1:
+        return 0
     pmax = float(np.max(matana.eval_P(profile.Q2, x))) if len(x) else 0.0
     if not math.isfinite(pmax):
         raise ConfigError(f"P(xi) = {pmax} for a finite query row: no truncation "
@@ -287,15 +290,17 @@ def _truncation_depth(profile: SpectralProfile, x: np.ndarray, tol: float | None
 def _closure(profile: SpectralProfile, eta: np.ndarray, with_G_over_P: bool) -> np.ndarray:
     """exp(h(eta)), times (G/P)(eta) if with_G_over_P, for the rows of eta.
 
-    Rows below LIMIT_RADIUS get the limit 1.
+    Rows below LIMIT_RADIUS get the limit 1.  In one dimension h vanishes
+    identically and is not evaluated, so the closure is exact at any depth.
     """
     out = np.ones(len(eta))
     far = np.sum(eta * eta, axis=1) >= LIMIT_RADIUS ** 2
     e = eta[far]
     P = matana.eval_P(profile.Q2, e)
-    h = (-0.5 * np.einsum("ni,ij,nj->n", e, profile.second_moment, e)
-         - profile.G.quartic_form(e) / (24.0 * P))
-    out[far] = np.exp(h)
+    if profile.d > 1:
+        h = (-0.5 * np.einsum("ni,ij,nj->n", e, profile.second_moment, e)
+             - profile.G.quartic_form(e) / (24.0 * P))
+        out[far] = np.exp(h)
     if with_G_over_P:
         out[far] *= trigpoly.eval_G_stable(profile.Q2, e) / P
     return out
@@ -342,49 +347,175 @@ def phi_hat(profile: SpectralProfile, x: np.ndarray) -> np.ndarray:
     return base ** profile.m
 
 
-def _mu_grid(profile: SpectralProfile, grid_n: int):
-    """Yield (rows, mu(rows)) over the grid_n^d grid on [-pi, pi)^d, in C order.
+def _turn_sines(n, D: int, cosine: bool = False, square: bool = False) -> np.ndarray:
+    """sin(2 pi n / D), or cos with cosine=True, squared with square=True,
+    for the integers n, each rounded once from extended precision.
 
-    The grid is the tensor product of one linspace axis, on which sin(x/2)^2
-    and sin x are tabulated once.  It is walked in blocks of at most
-    GRID_BLOCK rows, each gathering its G(eta) from the tables, so memory
-    stays flat in grid_n.  The grid needs no torus reduction, holds only
-    finite rows, and its one row below LIMIT_RADIUS is the origin, which gets
-    mu's limit 1.  Each value is mu's up to the row-dependent rounding of the
-    BLAS products (about an ulp).
+    Each n is reduced exactly to an angle x in [0, pi/4] (the first octant)
+    before its one sin or cos call, so multiples of a quarter turn give 0 and
+    +-1 exactly and no entry carries the error of a large angle.  x, its sine
+    or cosine and the square are taken in np.longdouble, so where that type
+    is wider than a double an entry is the double nearest the exact value
+    (short of a tie within the extended rounding).
     """
-    d = profile.d
-    axis_vals = np.linspace(-math.pi, math.pi, grid_n, endpoint=False)
-    s2_axis = np.sin(0.5 * axis_vals) ** 2
-    sx_axis = np.sin(axis_vals)
-    # An axis value is exactly 0 or at least an ulp of pi away from it, so
-    # only the all-zero row can fall below LIMIT_RADIUS.
-    zero = np.flatnonzero(axis_vals == 0.0)
-    origin = int(zero[0]) * sum(grid_n ** k for k in range(d)) if len(zero) else -1
-    n_points = grid_n ** d
-    for start in range(0, n_points, GRID_BLOCK):
-        stop = min(start + GRID_BLOCK, n_points)
-        idx = np.stack(np.unravel_index(np.arange(start, stop), (grid_n,) * d), axis=-1)
-        rows = axis_vals[idx]
-        G_eta = trigpoly.G_from_sines(profile.Q2, s2_axis[idx], sx_axis[idx])
-        at_origin = start <= origin < stop
-        if at_origin:
-            G_eta[origin - start] = 1.0  # G(0) = 0; the row is overwritten below
-        vals = _mu_direct(profile, rows, G_eta)
-        if at_origin:
-            vals[origin - start] = 1.0
-        yield rows, vals
+    t = (8 * np.asarray(n, dtype=np.int64) + (2 * D if cosine else 0)) % (8 * D)
+    octant, r = np.divmod(t, D)
+    x = _PI_LD / 4 * np.where(octant % 2 == 1, D - r, r).astype(np.longdouble) / D
+    use_cos = (octant + 1) & 2 != 0
+    out = np.empty(x.shape, dtype=np.longdouble)
+    np.sin(x, out=out, where=~use_cos)
+    np.cos(x, out=out, where=use_cos)
+    if square:
+        return (out * out).astype(float)
+    return np.negative(out, out=out, where=octant >= 4).astype(float)
+
+
+def _phase_span(forms: np.ndarray, grid_n: int, L: int) -> tuple[int, int, bool]:
+    """(start, size, wrap): the table span for the phases p = f . v of the
+    rows f of forms at v in {-grid_n, -grid_n + 2, ..., grid_n - 2}^d.
+
+    The span is those phases when they fit in fewer than L entries;
+    otherwise (wrap) it is one period [0, L), which serves functions of p
+    that are L-periodic.  So it holds at most min(L, phase range) entries.
+    """
+    ends = np.stack([-grid_n * forms, (grid_n - 2) * forms])
+    lo = int(ends.min(axis=0).sum(axis=1).min())
+    hi = int(ends.max(axis=0).sum(axis=1).max())
+    if hi - lo >= L:
+        return 0, L, True
+    return lo, hi - lo + 1, False
+
+
+def _tabulate(fill, start: int, size: int) -> np.ndarray:
+    """fill(p) for the integers p in [start, start + size), GRID_BLOCK at a time."""
+    out = np.empty(size)
+    for s in range(0, size, GRID_BLOCK):
+        p = np.arange(start + s, start + min(s + GRID_BLOCK, size))
+        out[s:s + len(p)] = fill(p)
+    return out
+
+
+def _G_sin_form(Q2: np.ndarray, s2: list, sx: list) -> np.ndarray:
+    """G's sin form from the columns s2[i] = sin^2(xi_i / 2) and sx[i] = sin xi_i.
+
+    The columns are arrays that broadcast together; sx is read only where
+    Q2 has a nonzero off-diagonal entry, as in trigpoly.eval_G_stable.
+    """
+    out = 4.0 * Q2[0, 0] * s2[0]
+    for i in range(1, len(s2)):
+        out = out + 4.0 * Q2[i, i] * s2[i]
+    for i in range(len(s2)):
+        for j in range(i + 1, len(s2)):
+            if Q2[i, j] != 0:
+                out = out + 2.0 * Q2[i, j] * sx[i] * sx[j]
+    return out
+
+
+def _grid_row(index: int, grid_n: int, d: int) -> np.ndarray:
+    """Row `index` (C order) of the grid: the doubles nearest pi (2 i - grid_n) / grid_n."""
+    return np.array([float(_PI * Fraction(2 * int(i) - grid_n, grid_n))
+                     for i in np.unravel_index(index, (grid_n,) * d)])
+
+
+def _mu_grid(profile: SpectralProfile, grid_n: int):
+    """Yield (start, mu(rows)) over the grid_n^d grid on [-pi, pi)^d, in C order.
+
+    start is the C-order index of a block's first row; _grid_row gives the
+    rows.  With N = grid_n, row i is eta = pi v / N on each axis, v = 2 i - N.
+    W = q A^{-T} is an integer matrix (sign(det A) times A's cofactors), so
+    B eta = 2 pi u / L with the integer vector u = W v and L = 2 q N, and
+    every phase mu needs is an integer mod L: the sin-form arguments of
+    G(B eta) are the u_c, and the phases of m0(B eta) are h . u over its
+    folded frequencies h.  Each is a linear form f . v of the row, and a
+    table of its sin, sin^2 or cos (_phase_span, _tabulate) is read at an
+    index summed from a per-line part and a last-axis part.  G(eta) reads
+    per-axis tables.  So a row costs an integer add and a gather per phase,
+    and no sin, cos or matrix product; m0's terms are summed pairwise.  The
+    values are mu's at the exact rational points, each table entry the
+    double nearest its exact value (_turn_sines).
+
+    A block is a run of whole last-axis lines, or a piece of one line when
+    N > GRID_BLOCK, and holds at most GRID_BLOCK rows.  Memory stays flat in
+    grid_n: a table holds at most min(L, phase range) entries, O(q N) for the
+    phases and N per axis, and a block's arrays at most (forms) x GRID_BLOCK.
+    The only row with G(eta) = 0 is the origin (even N), which gets mu's
+    limit 1.
+    """
+    d, q, N = profile.d, profile.q, grid_n
+    L = 2 * q * N
+    Q2 = profile.Q2.Q2
+    cross = any(Q2[i, j] != 0 for i in range(d) for j in range(i + 1, d))
+    # G(eta) per axis: sin^2(eta / 2) and sin(eta) at eta = pi v / N.
+    s2_axis = _tabulate(lambda i: _turn_sines(2 * i - N, 4 * N, square=True), 0, N)
+    sx_axis = _tabulate(lambda i: _turn_sines(2 * i - N, 2 * N), 0, N) if cross else None
+    # G(B eta): sin^2(pi u_c / L) and sin(2 pi u_c / L) at u = W v.
+    W = np.rint(q * profile.contraction).astype(np.int64)
+    if not np.array_equal(W @ profile.A.entries.T, q * np.eye(d, dtype=np.int64)):
+        raise NumericalBreakdown("q A^{-T} does not round to the integer matrix it is")
+    u_start, u_size, u_wrap = _phase_span(W, N, L)
+    S2 = _tabulate(lambda p: _turn_sines(p, 2 * L, square=True), u_start, u_size)
+    S1 = _tabulate(lambda p: _turn_sines(p, L), u_start, u_size) if cross else None
+    # m0(B eta): cos(2 pi h . u / L) over the nonzero folded h.  The mask is
+    # realified, so it is a cosine sum (real_terms gives no sine part).
+    H, a, _ = profile.m0.real_terms
+    forms = H @ W
+    live = forms.any(axis=1)
+    const = float(np.sum(a[~live]))
+    forms, a = forms[live], a[live]
+    m_start, m_size, m_wrap = _phase_span(forms, N, L)
+    C = _tabulate(lambda p: _turn_sines(p, L, cosine=True), m_start, m_size)
+    scale = q ** (2.0 / d)
+    origin = N // 2 * sum(N ** k for k in range(d)) if N % 2 == 0 else -1
+
+    def index(F, start, wrap):
+        """Table indices (forms, rows) of the phases f . v at the block's rows."""
+        head = sum(F[:, ax, None, None] * (2 * i - N) for ax, i in enumerate(lines)) - start
+        tail = F[:, -1, None] * (2 * np.arange(j.start, j.stop) - N)
+        if wrap:  # both parts mod L; a negative index wraps to the table's end
+            head, tail = head % L - L, tail % L
+        return (head + tail[:, None, :]).reshape(len(F), -1)
+
+    def mask_sum(lo, hi):
+        """Sum of a cos over the mask terms lo..hi-1, pairwise."""
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            return mask_sum(lo, mid) + mask_sum(mid, hi)
+        return a[lo] * C.take(index(forms[lo:hi], m_start, m_wrap)[0])
+
+    per_block = max(1, GRID_BLOCK // N)
+    for o0 in range(0, N ** (d - 1), per_block):
+        # The block's lines: their indices on the first d - 1 axes, as columns.
+        o1 = min(o0 + per_block, N ** (d - 1))
+        lines = ([i[:, None] for i in np.unravel_index(np.arange(o0, o1), (N,) * (d - 1))]
+                 if d > 1 else [])
+        for j0 in range(0, N, GRID_BLOCK):
+            j = slice(j0, min(j0 + GRID_BLOCK, N))  # the block's last-axis indices
+            u = index(W, u_start, u_wrap)
+            num = _G_sin_form(Q2, S2.take(u), S1.take(u) if cross else [])
+            m0 = mask_sum(0, len(forms)) + const
+            den = _G_sin_form(Q2, [s2_axis[i] for i in lines] + [s2_axis[j]],
+                              [sx_axis[i] for i in lines] + [sx_axis[j]] if cross else []).ravel()
+            start = o0 * N + j0
+            at_origin = 0 <= origin - start < len(den)
+            if at_origin:
+                den[origin - start] = 1.0  # G(0) = 0; the row is overwritten below
+            vals = scale * (m0 * num) / den
+            if at_origin:
+                vals[origin - start] = 1.0
+            yield start, vals
 
 
 def estimate_B(profile: SpectralProfile, grid_n: int = 256) -> float:
     """Estimate B = sup mu over the torus by a dense grid plus a batched zoom.
 
-    mu is 2 pi periodic, so the grid covers [-pi, pi)^d; _mu_grid evaluates it
-    from per-axis sine tables in blocks of GRID_BLOCK rows.  The zoom starts
-    at the first grid maximum with the step h of one grid cell.  Each round
-    evaluates mu on the 3^d points best + h {-1, 0, 1}^d in one call, moves to
-    their maximum if it beats the best value so far, and halves h, so it
-    moves at most 2 cells in all.  The result is never below the grid max.
+    mu is 2 pi periodic, so the grid covers [-pi, pi)^d, at the exact points
+    pi (2 i - grid_n) / grid_n on each axis; _mu_grid evaluates it from
+    tables of exact integer phases in blocks of at most GRID_BLOCK rows.  The
+    zoom starts at the first grid maximum (the nearest doubles to its row)
+    with the step h of one grid cell.  Each round evaluates mu on the 3^d
+    points best + h {-1, 0, 1}^d in one call, moves to their maximum if it
+    beats the best value so far, and halves h, so it moves at most 2 cells
+    in all.  The result is never below the grid max.
     """
     if grid_n < 32:
         raise ValueError("grid_n must be >= 32")
@@ -392,10 +523,11 @@ def estimate_B(profile: SpectralProfile, grid_n: int = 256) -> float:
         raise ConfigError(f"grid_n={grid_n} needs a B grid of {grid_n ** profile.d} "
                           f"points; at most {cascade.MAX_GRID_CELLS} are allowed")
     best = -math.inf
-    for block, vals in _mu_grid(profile, grid_n):
+    for start, vals in _mu_grid(profile, grid_n):
         i = int(np.argmax(vals))
         if vals[i] > best:  # strict: the first maximum wins, as in np.argmax
-            best, best_x = float(vals[i]), block[i].copy()
+            best, best_at = float(vals[i]), start + i
+    best_x = _grid_row(best_at, grid_n, profile.d)
     steps = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=profile.d)))
     h = TWO_PI / grid_n
     # Near a smooth maximum mu falls off as h^2, so once h is sqrt(eps) of a

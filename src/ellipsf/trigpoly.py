@@ -128,14 +128,24 @@ class TrigPoly:
         vals = np.cos(ph) @ alpha - 1j * (np.sin(ph) @ beta)
         return complex(vals[0]) if x.ndim == 1 else vals
 
+    @property
+    def real_terms(self):
+        """(H, a, b) with Re p(xi) = sum_k a_k cos(H_k . xi) + b_k sin(H_k . xi).
+
+        H (n, d) holds the folded representatives, a = Re(alpha) and
+        b = Im(beta); b is None when it is all zero, as for G and every mask.
+        """
+        H, alpha, beta, has_sin = self._folded
+        return H, alpha.real, beta.imag if has_sin else None
+
     def eval_real(self, xi):
         """Real part of eval, from the folded cosine (and, if any, sine) sum."""
-        H, alpha, beta, has_sin = self._folded
+        H, a, b = self.real_terms
         x = np.asarray(xi, dtype=float)
         ph = np.atleast_2d(x) @ H.T
-        vals = np.cos(ph) @ alpha.real
-        if has_sin:
-            vals += np.sin(ph) @ beta.imag
+        vals = np.cos(ph) @ a
+        if b is not None:
+            vals += np.sin(ph) @ b
         return float(vals[0]) if x.ndim == 1 else vals
 
     def quartic_form(self, xi) -> np.ndarray:
@@ -288,23 +298,14 @@ def eval_G_stable(qf: QuadraticForm, xi):
     x = np.asarray(xi, dtype=float)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    out = G_from_sines(qf, np.sin(0.5 * x) ** 2, np.sin(x) if qf.d > 1 else None)
-    return float(out[0]) if single else out
-
-
-def G_from_sines(qf: QuadraticForm, s2: np.ndarray, sx: np.ndarray | None) -> np.ndarray:
-    """G on rows given by their sines: s2 = sin(xi/2)^2 and sx = sin(xi), both (N, d).
-
-    sx is read only for d > 1.  eval_G_stable and estimate_B's tabulated grid
-    share this arithmetic, so both give G to the same bits.
-    """
     Q2 = qf.Q2
-    out = 4.0 * (s2 @ np.diag(Q2).copy())
+    out = 4.0 * (np.sin(0.5 * x) ** 2 @ np.diag(Q2).copy())
+    sx = np.sin(x) if qf.d > 1 else None
     for i in range(qf.d):
         for j in range(i + 1, qf.d):
             if Q2[i, j] != 0:
                 out = out + 2.0 * Q2[i, j] * sx[:, i] * sx[:, j]
-    return out
+    return float(out[0]) if single else out
 
 
 def build_mask(A: DilationMatrix, G: TrigPoly, ds: DigitSet) -> TrigPoly:

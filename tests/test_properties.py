@@ -57,6 +57,30 @@ def test_interpolation_check(grids, profiles):
     assert check_interpolation(g0) < 1e-10
 
 
+@pytest.mark.parametrize("shape", [(1,), (7,), (193,), (385,), (4, 5), (13, 8), (3, 193)])
+def test_fft_autoconvolve_matches_the_direct_sum(shape):
+    # 2n - 1 = 385, 769 and 385 are transformed at 400, 800 and 400 points.
+    a = np.random.default_rng(sum(shape)).uniform(-1, 1, size=shape)
+    direct = np.zeros([2 * n - 1 for n in shape])
+    for k in np.ndindex(*shape):
+        direct[tuple(slice(i, i + n) for i, n in zip(k, shape))] += a[k] * a
+    got = properties._fft_autoconvolve(a)
+    assert got.shape == direct.shape
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(a)) ** 2
+
+
+def test_smooth_size_is_the_next_5_smooth_number():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+    for n in range(1, 2000):
+        got = properties._smooth_size(n)
+        assert got >= n and smooth(got)
+        assert not any(smooth(m) for m in range(n, got))
+
+
 def test_convolution_univariate_matches_cubic_bspline(profiles):
     # the discretized hat*hat against the closed-form cubic B-spline
     p = profiles("uni")

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,7 +279,15 @@ def _reference_points(d):
 def test_phi_hat_within_tol_of_deep_reference(name, m, any_profile):
     p = any_profile(name, m)
     x = _reference_points(p.d)
-    ref = _closure_free_phi_hat_1(p, x) ** m
+    if p.d == 1:
+        # phi_hat_1(xi) = m0(B xi) phi_hat_1(B xi) with phi_hat_1 the closed
+        # form (sin(x/2) / (x/2))^2.  The 160-level product of m0's cosine sum
+        # loses up to all of it next to the zeros at 4 pi k, where 1 + cos
+        # cancels at the second level, so the reference takes one level.
+        y = x @ p.contraction.T
+        ref = (p.m0.eval_real(y) * helpers.sinc_squared(y[:, 0])) ** m
+    else:
+        ref = _closure_free_phi_hat_1(p, x) ** m
     assert np.all(np.abs(phi_hat(p, x) - ref) <= p.truncation_tol * np.abs(ref))
 
 
@@ -302,6 +312,23 @@ def test_derived_depth_halves_the_levels(name, most, any_profile):
     assert spectral._truncation_depth(p, corners, None) <= most
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("a", [2, 3, -2, 5, -3])
+def test_univariate_closure_is_exact_at_depth_zero(a, m):
+    # phi_hat_1 = G/P for every 1-D dilation, so h = 0 and no level is needed.
+    p = spectral.make_profile([[a]], m=m)
+    xs = np.linspace(-4 * math.pi, 4 * math.pi, 20001).reshape(-1, 1)
+    assert spectral._truncation_depth(p, xs, None) == 0
+    # 5 ulp of 1 (1.1e-15); the earlier bound-sized depths gave up to 2.6e-15.
+    closed = helpers.sinc_squared(xs[:, 0]) ** m
+    assert np.max(np.abs(phi_hat(p, xs) - closed)) <= 5 * np.spacing(1.0)
+    assert np.max(np.abs(M_eval(p, xs) - 1.0)) <= 1.4e-15
+    # Exact at any distance: far rows stay within tol, relative.
+    far = np.array([[1234.5], [1e5], [-3.3e7]])
+    ref = helpers.sinc_squared(far[:, 0]) ** m
+    assert np.all(np.abs(phi_hat(p, far) - ref) <= p.truncation_tol * ref)
+
+
 @pytest.mark.parametrize("fn", [mu, M_eval, phi_hat], ids=["mu", "M_eval", "phi_hat"])
 @pytest.mark.parametrize("name", ["A3", "uni"])
 def test_non_finite_rows_give_nan_and_leave_the_rest(fn, name, profiles, rng):
@@ -315,67 +342,6 @@ def test_non_finite_rows_give_nan_and_leave_the_rest(fn, name, profiles, rng):
     assert np.isnan(got[17]) and np.isnan(got[31])
     assert np.array_equal(np.delete(got, [17, 31]), fn(p, clean))
     assert math.isnan(fn(p, bad[1]))
-
-
-def _torus_grid(d, grid_n):
-    """The grid estimate_B walks, materialized: [-pi, pi)^d in C order."""
-    ax = np.linspace(-math.pi, math.pi, grid_n, endpoint=False)
-    return np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1).reshape(-1, d)
-
-
-# 50 is even, yet its linspace misses 0 by an ulp of pi: no row needs the limit.
-GRID_CASES = ([(name, n) for name in ("A1", "A2", "A3", "A4", "uni") for n in (32, 33, 50, 64, 257)]
-              + [("C3", n) for n in (32, 33, 50, 64)])
-
-
-@pytest.mark.parametrize("name,grid_n", GRID_CASES)
-def test_grid_pass_matches_mu(name, grid_n, any_profile):
-    # Tabulated sines, no torus reduction and no radius mask give mu's values
-    # up to the row-dependent rounding of the small BLAS products.
-    p = any_profile(name, 1)
-    rows, vals = map(np.concatenate, zip(*spectral._mu_grid(p, grid_n)))
-    grid = _torus_grid(p.d, grid_n)
-    assert np.array_equal(rows, grid)
-    ref = mu(p, grid)
-    assert np.all(np.abs(vals - ref) <= 2 * np.spacing(np.maximum(np.abs(vals), np.abs(ref))))
-
-
-@pytest.mark.parametrize("name,grid_n", [(name, n) for name in ("A1", "A2", "A3", "A4", "uni")
-                                         for n in (64, 257)] + [("C3", 33), ("C3", 64)])
-def test_grid_maximum_and_refinement_start_match_mu(name, grid_n, any_profile, monkeypatch):
-    p = any_profile(name, 1)
-    grid = _torus_grid(p.d, grid_n)
-    ref = mu(p, grid)
-    first = int(np.argmax(ref))
-    # A zoom that never moves returns the grid maximum, and each of its rounds
-    # is centred on the first argmax with a step halving from one cell.
-    calls = []
-
-    def never_better(profile, x):
-        calls.append(x)
-        return np.full(len(x), -np.inf)
-    monkeypatch.setattr(spectral, "mu", never_better)
-    assert estimate_B(p, grid_n) == ref[first]
-    steps = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=p.d)))
-    cell = 2 * math.pi / grid_n
-    assert len(calls) == spectral.ZOOM_ROUNDS
-    for k, x in enumerate(calls):
-        assert np.array_equal(x, grid[first] + cell / 2 ** k * steps)
-
-
-@pytest.mark.parametrize("name,block,grid_n",
-                         [(name, block, n) for name in ("A1", "A2", "A3", "A4")
-                          for block, n in ((spectral.GRID_BLOCK, 257), (1000, 64))]
-                         + [("uni", 50, 257), ("uni", 7, 64), ("C3", 1000, 64), ("C3", 500, 33)])
-def test_blocked_estimate_B_matches_one_grid(name, block, grid_n, any_profile, monkeypatch):
-    p = any_profile(name, 1)
-    assert grid_n ** p.d % block != 0
-    assert block < grid_n ** (p.d - 1) or p.d < 3
-    monkeypatch.setattr(spectral, "GRID_BLOCK", block)
-    blocked = estimate_B(p, grid_n=grid_n)
-    assert max(len(v) for _, v in spectral._mu_grid(p, grid_n)) <= block
-    monkeypatch.setattr(spectral, "GRID_BLOCK", grid_n ** p.d)
-    assert estimate_B(p, grid_n=grid_n) == blocked
 
 
 def _generated_isotropic(count: int, seed: int = 7) -> list:
@@ -396,6 +362,152 @@ def _generated_isotropic(count: int, seed: int = 7) -> list:
                 return out
 
 
+# pi to 50 digits, for the exact grid points pi (2 i - N) / N.
+PI_50 = "3.14159265358979323846264338327950288419716939937510"
+# Grid cases by name beyond the conftest fixtures and C3: a negative
+# determinant, q = 5 (2 + i), q = 9 (3I), and six generated matrices.
+GRID_MATRICES = {"neg": [[1, 1], [1, -1]], "2+i": [[2, 1], [-1, 2]], "3I": [[3, 0], [0, 3]],
+                 **{f"gen{k}": A for k, A in enumerate(_generated_isotropic(6))}}
+_grid_profiles: dict = {}
+
+
+def _grid_profile(name, any_profile):
+    if name not in GRID_MATRICES:
+        return any_profile(name, 1)
+    if name not in _grid_profiles:
+        _grid_profiles[name] = spectral.make_profile(GRID_MATRICES[name])
+    return _grid_profiles[name]
+
+
+def _torus_grid(d, grid_n):
+    """The rows estimate_B walks, materialized in C order: on each axis the
+    doubles nearest the exact points pi (2 i - grid_n) / grid_n."""
+    pi = Fraction(PI_50)
+    ax = np.array([float(pi * Fraction(v, grid_n)) for v in range(-grid_n, grid_n, 2)])
+    return np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def _exact_grid_mu(p, grid_n):
+    """mu at the exact grid points, in np.longdouble, in C order.
+
+    Row i is eta = pi v / N with the integer vector v = 2 i - N, and
+    B eta = pi W v / (q N) with the integer matrix W = q A^{-T}, so every
+    phase of G's sin form and of m0's coefficient map is pi times an exact
+    rational.  The origin gets the limit 1.
+    """
+    d, q, N = p.d, p.q, grid_n
+    W = np.rint(q * p.contraction).astype(np.int64)
+    assert np.array_equal(W @ p.A.entries.T, q * np.eye(d, dtype=np.int64))
+    pi = np.longdouble(PI_50)
+    ax = np.arange(-N, N, 2)
+    v = np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    Q2 = p.Q2.Q2.astype(np.longdouble)
+    K, c = p.m0.K, p.m0.C.real.astype(np.longdouble)
+    assert np.all(p.m0.C.imag == 0)
+
+    def G(x):
+        out = sum(4 * Q2[i, i] * np.sin(x[:, i] / 2) ** 2 for i in range(d))
+        for i, j in itertools.combinations(range(d), 2):
+            out = out + 2 * Q2[i, j] * np.sin(x[:, i]) * np.sin(x[:, j])
+        return out
+
+    out = np.ones(len(v), dtype=np.longdouble)
+    for s in range(0, len(v), 4096):
+        vs = v[s:s + 4096]
+        u = vs @ W.T
+        m0 = np.cos(pi * (u @ K.T).astype(np.longdouble) / (q * N)) @ c
+        num = m0 * G(pi * u.astype(np.longdouble) / (q * N))
+        den = G(pi * vs.astype(np.longdouble) / N)
+        far = np.any(vs != 0, axis=1)
+        out[s:s + 4096][far] = (np.longdouble(q) ** (np.longdouble(2) / d)
+                                * num[far] / den[far])
+    return out
+
+
+def _ulps(x, ref):
+    """|x - ref| in units of the spacing of the double nearest ref, per row."""
+    r = ref.astype(float)
+    return np.abs((x - ref).astype(float)) / np.spacing(np.abs(r))
+
+
+# mu itself, at the rows rounded to doubles, is off from _exact_grid_mu by up
+# to 9.3 ulp on these cases (gen5, [[1, 2], [-1, 3]], at 64^2); the pass,
+# whose table entries are each the double nearest an exact value, is held to
+# GRID_ULPS.  Even and odd N: an even N has the exact origin (50 included).
+GRID_ULPS = 9.0
+GRID_CASES = ([(name, n) for name in ("A1", "A2", "A3", "A4", "uni") for n in (32, 33, 50, 64, 257)]
+              + [("C3", n) for n in (32, 33, 50, 64)]
+              + [(name, n) for name in GRID_MATRICES for n in (33, 64)])
+
+
+@pytest.mark.parametrize("name,grid_n", GRID_CASES)
+def test_grid_pass_matches_mu(name, grid_n, any_profile):
+    p = _grid_profile(name, any_profile)
+    blocks = list(spectral._mu_grid(p, grid_n))
+    starts, vals = [s for s, _ in blocks], [v for _, v in blocks]
+    assert starts == list(np.cumsum([0] + [len(v) for v in vals[:-1]]))
+    vals = np.concatenate(vals)
+    assert len(vals) == grid_n ** p.d
+    assert np.max(_ulps(vals, _exact_grid_mu(p, grid_n))) <= GRID_ULPS
+
+
+@pytest.mark.parametrize("name,grid_n", [(name, n) for name in ("A1", "A2", "A3", "A4", "uni")
+                                         for n in (64, 257)] + [("C3", 33), ("C3", 64)]
+                         + [(name, 64) for name in GRID_MATRICES])
+def test_grid_maximum_and_refinement_start_match_mu(name, grid_n, any_profile, monkeypatch):
+    p = _grid_profile(name, any_profile)
+    grid = _torus_grid(p.d, grid_n)
+    vals = np.concatenate([v for _, v in spectral._mu_grid(p, grid_n)])
+    first = int(np.argmax(vals))
+    top = float(np.max(_exact_grid_mu(p, grid_n)))
+    assert abs(vals[first] - top) <= GRID_ULPS * np.spacing(top)
+    # A zoom that never moves returns the grid maximum, and each of its rounds
+    # is centred on the row of the first argmax with a step halving from one
+    # cell.
+    calls = []
+
+    def never_better(profile, x):
+        calls.append(x)
+        return np.full(len(x), -np.inf)
+    monkeypatch.setattr(spectral, "mu", never_better)
+    assert estimate_B(p, grid_n) == vals[first]
+    steps = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=p.d)))
+    cell = 2 * math.pi / grid_n
+    assert len(calls) == spectral.ZOOM_ROUNDS
+    for k, x in enumerate(calls):
+        assert np.array_equal(x, grid[first] + cell / 2 ** k * steps)
+
+
+# tracemalloc peaks of estimate_B with the earlier linspace grid pass, which
+# gathered every row and its sines per block: the table pass stays within 2x.
+@pytest.mark.parametrize("name,grid_n,earlier_mb", [("uni", 1 << 20, 26.6), ("A1", 1024, 2.4),
+                                                    ("C3", 128, 3.2)])
+def test_estimate_B_peak_stays_flat_in_grid_n(name, grid_n, earlier_mb, any_profile):
+    p = any_profile(name, 1)
+    tracemalloc.start()
+    try:
+        estimate_B(p, grid_n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * earlier_mb * 1e6
+
+
+@pytest.mark.parametrize("name,block,grid_n",
+                         [(name, block, n) for name in ("A1", "A2", "A3", "A4")
+                          for block, n in ((spectral.GRID_BLOCK, 257), (1000, 64))]
+                         + [("uni", 50, 257), ("uni", 7, 64), ("C3", 1000, 64), ("C3", 500, 33)])
+def test_blocked_estimate_B_matches_one_grid(name, block, grid_n, any_profile, monkeypatch):
+    p = any_profile(name, 1)
+    assert grid_n ** p.d % block != 0
+    assert block < grid_n ** (p.d - 1) or p.d < 3
+    monkeypatch.setattr(spectral, "GRID_BLOCK", block)
+    blocked = estimate_B(p, grid_n=grid_n)
+    assert max(len(v) for _, v in spectral._mu_grid(p, grid_n)) <= block
+    monkeypatch.setattr(spectral, "GRID_BLOCK", grid_n ** p.d)
+    assert estimate_B(p, grid_n=grid_n) == blocked
+
+
 # On 48 of the 480 generated matrices the zoom raises B above the 64^2 grid
 # maximum; on these two the most (by 6.6e-3 and 1.6e-3).
 ZOOM_NEEDED = [[[2, -2], [3, -2]], [[2, 1], [-2, 0]]]
@@ -408,7 +520,8 @@ ZOOM_CASES = ([(name, 64) for name in ("A1", "A2", "A3", "A4", "uni")] + [("C3",
                          ";".join(",".join(map(str, row)) for row in v))
 def test_zoom_reaches_the_local_grid_maximum(case, grid_n, any_profile):
     p = any_profile(case, 1) if isinstance(case, str) else spectral.make_profile(case)
-    rows, vals = map(np.concatenate, zip(*spectral._mu_grid(p, grid_n)))
+    rows = _torus_grid(p.d, grid_n)
+    vals = np.concatenate([v for _, v in spectral._mu_grid(p, grid_n)])
     first = int(np.argmax(vals))
     B = estimate_B(p, grid_n)
     assert B >= vals[first]
