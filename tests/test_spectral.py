@@ -508,6 +508,20 @@ def test_blocked_estimate_B_matches_one_grid(name, block, grid_n, any_profile, m
     assert estimate_B(p, grid_n=grid_n) == blocked
 
 
+@pytest.mark.parametrize("name,block,grid_n", [("A1", 50, 64), ("C3", 20, 33), ("2+i", 64, 65)])
+def test_grid_blocks_shorter_than_a_line_give_the_same_values(name, block, grid_n, any_profile,
+                                                             monkeypatch):
+    # Pieces of one last-axis line in 2-D and 3-D: every row's value is the
+    # same to the bit, and the starts tile the grid in C order.
+    p = _grid_profile(name, any_profile)
+    whole = np.concatenate([v for _, v in spectral._mu_grid(p, grid_n)])
+    monkeypatch.setattr(spectral, "GRID_BLOCK", block)
+    blocks = list(spectral._mu_grid(p, grid_n))
+    assert max(len(v) for _, v in blocks) <= block < grid_n
+    assert [s for s, _ in blocks] == list(np.cumsum([0] + [len(v) for _, v in blocks[:-1]]))
+    assert np.array_equal(np.concatenate([v for _, v in blocks]), whole)
+
+
 # On 48 of the 480 generated matrices the zoom raises B above the 64^2 grid
 # maximum; on these two the most (by 6.6e-3 and 1.6e-3).
 ZOOM_NEEDED = [[[2, -2], [3, -2]], [[2, 1], [-2, 0]]]
