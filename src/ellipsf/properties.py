@@ -15,11 +15,10 @@ from itertools import product
 
 import numpy as np
 
-from . import cascade, operators, spectral
+from . import cascade, digits, operators, spectral
 from .cascade import LatticeGrid, SupportBox
 from .errors import ConfigError, DegreeTooHigh, NonSimpleEigenvalue
 from .spectral import SpectralProfile
-from .trigpoly import TrigPoly
 
 # Pinned settings of run_all; verify.json prints each check's tolerance.  A
 # tolerance is a ceiling on the residual, except the two floors
@@ -153,32 +152,35 @@ def check_strang_fix(profile: SpectralProfile) -> float:
     """Max |D^n phi_hat(2 pi k)| over 0 < |k|_inf <= 2 and |n| <= 2m - 1.
 
     Derivatives are 4th-order central differences (9-point Fornberg stencils
-    per axis with step 1e-3, tensorized for mixed orders).
+    per axis with step 1e-3, tensorized for mixed orders).  phi_hat is
+    evaluated once, at 2 pi k plus the union of the offsets the stencils
+    use, and each stencil reads its own columns.
     """
     d, step = profile.d, 1e-3
-    max_order = 2 * profile.m - 1
     nodes = list(range(-4, 5))
     ks = [k for k in product(range(-2, 3), repeat=d) if any(k)]
-    worst = 0.0
-    for n in _monomial_exponents(d, max_order):
+    union: dict = {}  # offset -> its column
+    stencils = []
+    for n in _monomial_exponents(d, 2 * profile.m - 1):
         axes = [([0], np.ones(1)) if ni == 0 else (nodes, _fd_weights(nodes, ni) / step ** ni)
                 for ni in n]
-        offs = np.array(list(product(*(a[0] for a in axes))), dtype=float)
-        w = functools.reduce(np.multiply.outer, [a[1] for a in axes]).ravel()
-        base = 2 * math.pi * np.array(ks, dtype=float)
-        pts = (base[:, None, :] + step * offs[None, :, :]).reshape(-1, d)
-        vals = spectral.phi_hat(profile, pts).reshape(len(ks), len(offs))
-        worst = max(worst, float(np.max(np.abs(vals @ w))))
-    return worst
+        cols = [union.setdefault(o, len(union)) for o in product(*(a[0] for a in axes))]
+        stencils.append((cols, functools.reduce(np.multiply.outer, [a[1] for a in axes]).ravel()))
+    base = 2 * math.pi * np.array(ks, dtype=float)
+    offs = np.array(list(union), dtype=float)
+    pts = (base[:, None, :] + step * offs[None, :, :]).reshape(-1, d)
+    vals = spectral.phi_hat(profile, pts).reshape(len(ks), len(offs))
+    return max(float(np.max(np.abs(vals[:, cols] @ w))) for cols, w in stencils)
 
 
 def check_fourier_refinement(profile: SpectralProfile, n_samples: int = 100,
                              seed: int = 0) -> float:
     """Max relative residual of phi_hat(xi) = m0(A^{-T} xi)^m phi_hat(A^{-T} xi)."""
     pts = spectral._off_lattice_points(np.random.default_rng(seed), n_samples, profile.d)
-    B = profile.contraction
-    lhs = spectral.phi_hat(profile, pts)
-    rhs = profile.m0.eval_real(pts @ B.T) ** profile.m * spectral.phi_hat(profile, pts @ B.T)
+    y = pts @ profile.contraction.T
+    vals = spectral.phi_hat(profile, np.vstack([pts, y]))
+    lhs = vals[:len(pts)]
+    rhs = profile.m0.eval_real(y) ** profile.m * vals[len(pts):]
     return float(np.max(np.abs(lhs - rhs) / (np.abs(lhs) + 1e-15)))
 
 
@@ -186,18 +188,19 @@ def check_non_decay(profile: SpectralProfile, J_max: int = 4) -> float:
     """Spot check that M(2 pi (A^T)^J s) = M(2 pi s) along digit orbits.
 
     This is the testable form of M's failure to decay: it repeats its
-    digit-point values at arbitrarily large lattice scales.
+    digit-point values at arbitrarily large lattice scales.  M is evaluated
+    once, on the (q - 1)(J_max + 1) points of every nonzero digit's orbit.
     """
-    worst = 0.0
     AT = profile.A.entries.T.astype(float)
+    orbits = []
     for s in profile.digits_AT.nonzero_S():
-        sf = np.array([float(c) for c in s])
-        ref = spectral.M_eval(profile, 2 * math.pi * sf)
-        v = sf.copy()
-        for _ in range(1, J_max + 1):
+        v = np.array([float(c) for c in s])
+        orbits.append(v)
+        for _ in range(J_max):
             v = AT @ v
-            worst = max(worst, abs(spectral.M_eval(profile, 2 * math.pi * v) - ref))
-    return worst
+            orbits.append(v)
+    M = spectral.M_eval(profile, 2 * math.pi * np.array(orbits)).reshape(-1, J_max + 1)
+    return float(np.max(np.abs(M[:, 1:] - M[:, :1]), initial=0.0))
 
 
 def check_interpolation(grid0: LatticeGrid) -> float:
@@ -431,10 +434,18 @@ class PropertyReport:
 
 
 def _mask_is_interpolating(profile: SpectralProfile) -> bool:
-    """sum_s m0(xi + 2 pi s) over the digits s of A^T is identically 1."""
-    total = sum((profile.m0.shift_argument(s) for s in profile.digits_AT.S), TrigPoly(profile.d))
-    zero = (0,) * profile.d
-    return all(abs(c - (k == zero)) <= 1e-12 for k, c in {zero: 0.0, **total.coeffs}.items())
+    """sum_s m0(xi + 2 pi s) over the digits s of A^T is identically 1.
+
+    The sum multiplies c_k by sum_s e^{-2 pi i k.s}, which is q for k in
+    A Z^d and 0 elsewhere, so it is 1 exactly when q c_0 = 1 and q c_k = 0
+    for the other k in A Z^d.  k is in A Z^d when adj(A) k = 0 mod det A,
+    an exact test on the integer frequencies.
+    """
+    m0, q = profile.m0, profile.q
+    adj = np.array(digits.int_adjugate(profile.A.entries), dtype=np.int64)
+    on = np.all(m0.K @ adj.T % q == 0, axis=1)
+    zero = ~np.any(m0.K[on], axis=1)
+    return bool(np.any(zero)) and bool(np.all(np.abs(q * m0.C[on] - zero) <= 1e-12))
 
 
 def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0) -> PropertyReport:

@@ -27,8 +27,10 @@ with (G/P)(eta) exp(h(eta)).  In one dimension phi_hat_1 = G/P exactly and h
 vanishes identically, so there the closure is exact and the depth is 0.
 Elsewhere the depth J is derived, not calibrated:
 SpectralProfile.tail_bound bounds the log of the closure's error by
-K P(eta)^2 from the mask and G alone, and J is the smallest depth that takes
-this below tol for every row of the batch.
+K P(eta)^2 from the mask and G alone, and each row takes its own J, the
+smallest depth that takes this below tol at its own eta.  The rows are
+ordered by depth once and each level multiplies in the factor for the rows
+still active, so a row's value does not depend on the rest of its batch.
 
 Singularities: mu, G/P and G4/P have removable 0/0 points on 2 pi Z^d (resp.
 at 0).  G is evaluated in its sin form, so the quotients stay exact next to
@@ -255,34 +257,35 @@ def mu_quadratic_constant(profile: SpectralProfile) -> float:
     return profile.tail_bound[0]
 
 
-def _truncation_depth(profile: SpectralProfile, x: np.ndarray, tol: float | None) -> int:
-    """Smallest J >= 0 at which eta = B^{J+1} xi has K P(eta)^2 <= log(1 + tol)
-    and P(eta) <= p_max for every row xi of x (SpectralProfile.tail_bound).
+def _truncation_depth(profile: SpectralProfile, x: np.ndarray, tol: float | None) -> np.ndarray:
+    """Each row's depth: the smallest J >= 0 at which eta = B^{J+1} xi has
+    K P(eta)^2 <= log(1 + tol) and P(eta) <= p_max (SpectralProfile.tail_bound).
 
-    Then the closure moves phi_hat_1 and M by a factor within
-    [1/(1 + tol), 1 + tol].  In one dimension the closure is exact
-    (phi_hat_1 = G/P, h = 0), so J = 0 there.  Raises ConfigError when J
-    exceeds MAX_DEPTH or P overflows on a row.
+    Then the closure moves that row's phi_hat_1 and M by a factor within
+    [1/(1 + tol), 1 + tol].  A row's depth depends on its own P(xi) alone,
+    never on the rest of the batch.  In one dimension the closure is exact
+    (phi_hat_1 = G/P, h = 0), so every depth is 0 there.  Raises ConfigError
+    when the deepest row's J exceeds MAX_DEPTH or P overflows on a row.
     """
     if tol is None:
         tol = profile.truncation_tol
     if tol <= 0:
         raise ValueError("tol must be positive")
     if profile.d == 1:
-        return 0
-    pmax = float(np.max(matana.eval_P(profile.Q2, x))) if len(x) else 0.0
+        return np.zeros(len(x), dtype=np.int64)
+    P = matana.eval_P(profile.Q2, x)
+    pmax = float(np.max(P)) if len(x) else 0.0
     if not math.isfinite(pmax):
         raise ConfigError(f"P(xi) = {pmax} for a finite query row: no truncation "
                           f"depth reaches tol {tol:.3g}")
     K = mu_quadratic_constant(profile)
     reach = min(profile.tail_bound[1], math.sqrt(math.log1p(tol) / K))
-    J = 0
-    if pmax > reach:
-        # P(B^{J+1} xi) = q^{-2(J+1)/d} P(xi).
-        levels = math.log(pmax / reach) / math.log(profile.q ** (2.0 / profile.d))
-        J = math.ceil(levels) - 1
-    if J > MAX_DEPTH:
-        raise ConfigError(f"truncation depth {J} for tol {tol:.3g} exceeds "
+    # P(B^{J+1} xi) = q^{-2(J+1)/d} P(xi); rows with P(xi) <= reach get 0.
+    levels = np.log(np.maximum(P, reach) / reach) / math.log(profile.q ** (2.0 / profile.d))
+    J = np.maximum(np.ceil(levels) - 1, 0).astype(np.int64)
+    deepest = int(np.max(J, initial=0))
+    if deepest > MAX_DEPTH:
+        raise ConfigError(f"truncation depth {deepest} for tol {tol:.3g} exceeds "
                           f"MAX_DEPTH = {MAX_DEPTH}")
     return J
 
@@ -306,40 +309,60 @@ def _closure(profile: SpectralProfile, eta: np.ndarray, with_G_over_P: bool) -> 
     return out
 
 
+def _closed_product(profile: SpectralProfile, x: np.ndarray, tol: float | None,
+                    factor, start: int, with_G_over_P: bool) -> np.ndarray:
+    """prod_{j = start..J + start} factor(B^j xi), closed by _closure at
+    eta = B^{J+1} xi, for each row xi of x with its own depth J from
+    _truncation_depth.
+
+    The rows are ordered deepest first once, so the rows still active at a
+    level are a prefix of the batch: each level evaluates factor on those
+    rows only, and a row leaves with its eta when its depth is reached.
+    """
+    J = np.broadcast_to(_truncation_depth(profile, x, tol), (len(x),))
+    # Depths are at most MAX_DEPTH, so int16 keys sort by radix.
+    order = np.argsort(-J.astype(np.int16), kind="stable")
+    # active[j] rows have depth >= j, for j = 0 .. max depth + 1.
+    active = np.append(np.cumsum(np.bincount(J, minlength=1)[::-1])[::-1], 0)
+    B = profile.contraction
+    prod, eta = np.ones(len(x)), np.empty_like(x)
+    cur = x.take(order, axis=0)
+    for n, done in zip(active[:-1], active[1:]):
+        nxt = cur[:n] @ B.T
+        prod[:n] *= factor(nxt if start else cur[:n])
+        eta[done:n] = nxt[done:]
+        cur = nxt
+    prod *= _closure(profile, eta, with_G_over_P)
+    out = np.empty_like(prod)
+    out[order] = prod
+    return out
+
+
 @_pointwise
 def M_eval(profile: SpectralProfile, x: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Infinite product M(xi) = prod_j mu((A^{-T})^j xi), to a relative tol.
 
-    The first J + 1 factors are multiplied out and the tail is closed with
-    exp(h(B^{J+1} xi)) (module docstring); J comes from _truncation_depth.
+    Each row multiplies out its first J + 1 factors, J its own depth from
+    _truncation_depth, and closes the tail with exp(h(B^{J+1} xi)) (module
+    docstring).  So a row's value does not depend on the rest of the batch.
     """
-    J = _truncation_depth(profile, x, tol)
-    out = np.ones(len(x))
-    cur = x
-    B = profile.contraction
-    for _ in range(J + 1):
-        out *= mu(profile, cur)
-        cur = cur @ B.T
-    return out * _closure(profile, cur, with_G_over_P=False)
+    return _closed_product(profile, x, tol, lambda y: mu(profile, y), start=0,
+                           with_G_over_P=False)
 
 
 @_pointwise
 def phi_hat(profile: SpectralProfile, x: np.ndarray) -> np.ndarray:
     """phi_hat^m(xi) = (G(xi)/P(xi))^m M(xi)^m, phi_hat_1 to a relative truncation_tol.
 
-    Evaluated in the telescoped form of the module docstring, closed with
-    (G/P)(eta) exp(h(eta)) at eta = B^{J+1} xi.  The origin returns 1 and
+    Evaluated in the telescoped form of the module docstring: each row takes
+    the mask at B xi, ..., B^{J+1} xi, J its own depth from _truncation_depth,
+    and closes with (G/P)(eta) exp(h(eta)) at eta = B^{J+1} xi.  So a row's
+    value does not depend on the rest of the batch.  The origin returns 1 and
     exact nonzero lattice points return 0.  Values are nonnegative up to the
     rounding of m0 next to its zeros (about 1e-16).
     """
-    J = _truncation_depth(profile, x, None)
-    B = profile.contraction
-    base = np.ones(len(x))
-    cur = x
-    for _ in range(J + 1):
-        cur = cur @ B.T
-        base *= profile.m0.eval_real(cur)
-    base *= _closure(profile, cur, with_G_over_P=True)
+    base = _closed_product(profile, x, None, profile.m0.eval_real, start=1,
+                           with_G_over_P=True)
     # Exact lattice points: clamp the rounding dust of the vanishing factors.
     eta, k = _reduce_torus(x)
     lattice = np.max(np.abs(eta), axis=1) == 0.0

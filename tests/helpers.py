@@ -3,12 +3,19 @@
 Everything here deliberately avoids the code paths under test: coefficients
 come from FFT sampling of closed-form expressions, spline values from their
 piecewise formulas, coset arithmetic from exact rationals, and the cascade's
-scatter from one slice add per tap.
+scatter from one slice add per tap.  The Fourier-side checks are kept as
+they were written before they batched their spectral calls: one call per
+orbit point or per monomial.
 """
+
+import functools
+import math
+from itertools import product
 
 import numpy as np
 
-from ellipsf import cascade
+from ellipsf import cascade, properties, spectral
+from ellipsf.trigpoly import TrigPoly
 
 
 def fft_coeffs(func, d, N=16, tol=1e-13):
@@ -142,3 +149,45 @@ def same_grid(a, b):
     """Bit-identical values (0.0 and -0.0 told apart), offset and mask."""
     return (np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
             and np.array_equal(a.offset, b.offset) and np.array_equal(a.inside, b.inside))
+
+
+# The Fourier-side checks as written before each made one batched spectral
+# call, and the interpolating-mask test as q shifted copies of m0.
+
+def non_decay_by_points(profile, J_max=4):
+    """properties.check_non_decay with one M_eval call per orbit point."""
+    worst = 0.0
+    AT = profile.A.entries.T.astype(float)
+    for s in profile.digits_AT.nonzero_S():
+        sf = np.array([float(c) for c in s])
+        ref = spectral.M_eval(profile, 2 * math.pi * sf)
+        v = sf.copy()
+        for _ in range(1, J_max + 1):
+            v = AT @ v
+            worst = max(worst, abs(spectral.M_eval(profile, 2 * math.pi * v) - ref))
+    return worst
+
+
+def strang_fix_by_monomials(profile):
+    """properties.check_strang_fix with one phi_hat call per monomial."""
+    d, step = profile.d, 1e-3
+    nodes = list(range(-4, 5))
+    ks = [k for k in product(range(-2, 3), repeat=d) if any(k)]
+    worst = 0.0
+    for n in properties._monomial_exponents(d, 2 * profile.m - 1):
+        axes = [([0], np.ones(1)) if ni == 0
+                else (nodes, properties._fd_weights(nodes, ni) / step ** ni) for ni in n]
+        offs = np.array(list(product(*(a[0] for a in axes))), dtype=float)
+        w = functools.reduce(np.multiply.outer, [a[1] for a in axes]).ravel()
+        base = 2 * math.pi * np.array(ks, dtype=float)
+        pts = (base[:, None, :] + step * offs[None, :, :]).reshape(-1, d)
+        vals = spectral.phi_hat(profile, pts).reshape(len(ks), len(offs))
+        worst = max(worst, float(np.max(np.abs(vals @ w))))
+    return worst
+
+
+def mask_is_interpolating_by_shifts(profile):
+    """sum_s m0(xi + 2 pi s) over the digits of A^T, summed as TrigPolys, is 1."""
+    total = sum((profile.m0.shift_argument(s) for s in profile.digits_AT.S), TrigPoly(profile.d))
+    zero = (0,) * profile.d
+    return all(abs(c - (k == zero)) <= 1e-12 for k, c in {zero: 0.0, **total.coeffs}.items())

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ellipsf import cascade, properties, spectral
-from ellipsf.errors import DegreeTooHigh
+from ellipsf import cascade, matana, properties, spectral
+from ellipsf.errors import DegreeTooHigh, NotExpanding, SingularMatrix
 from ellipsf.properties import (Polynomial, check_approximation_order,
                                 check_convolution, check_interpolation,
                                 check_partition_of_unity, check_polynomial_reproduction,
@@ -49,6 +50,51 @@ def test_total_positivity_detects_negative(profiles, monkeypatch):
 @pytest.mark.parametrize("name,m", [("A1", 1), ("A1", 2), ("A3", 1), ("uni", 2)])
 def test_strang_fix_orders(name, m, profiles):
     assert check_strang_fix(profiles(name, m)) < 1e-6
+
+
+C3 = [[0, 0, 2], [1, 0, 0], [0, 1, 0]]  # companion matrix of x^3 - 2
+FIXTURE_CASES = [(name, m) for name in (*MATRICES, "C3") for m in (1, 2)]
+_c3_profiles: dict = {}
+
+
+def _fixture_profile(profiles, name, m):
+    if name != "C3":
+        return profiles(name, m)
+    if m not in _c3_profiles:
+        _c3_profiles[m] = spectral.make_profile(C3, m=m)
+    return _c3_profiles[m]
+
+
+@pytest.mark.parametrize("name,m", FIXTURE_CASES)
+def test_batched_fourier_checks_match_the_per_call_loops(name, m, profiles):
+    # One spectral call per check against one per orbit point or per monomial.
+    p = _fixture_profile(profiles, name, m)
+    assert abs(properties.check_non_decay(p) - helpers.non_decay_by_points(p)) <= 1e-15
+    assert abs(check_strang_fix(p) - helpers.strang_fix_by_monomials(p)) <= 1e-15
+
+
+def _isotropic_2x2(lo, hi):
+    """Every isotropic 2 x 2 dilation with entries in [lo, hi]."""
+    for e in itertools.product(range(lo, hi + 1), repeat=4):
+        try:
+            A = matana.validate_dilation([e[:2], e[2:]])
+        except (SingularMatrix, NotExpanding):
+            continue
+        if matana.certify_isotropy(A).isotropic:
+            yield A
+
+
+def test_interpolating_mask_test_on_frequencies_matches_the_shifted_sum(profiles):
+    # adj(A) k = 0 mod det A on the mask's frequencies against the sum of q
+    # shifted copies of m0, on the fixtures and every small isotropic matrix.
+    cases = [_fixture_profile(profiles, name, 1) for name in (*MATRICES, "C3")]
+    small = [spectral.make_profile(A) for A in _isotropic_2x2(-2, 2)]
+    verdicts = []
+    for p in cases + small:
+        verdicts.append(properties._mask_is_interpolating(p))
+        assert verdicts[-1] == helpers.mask_is_interpolating_by_shifts(p), p.A.entries.tolist()
+    assert verdicts[:len(cases)] == [True, False, False, False, True, False]
+    assert (len(small), sum(verdicts[len(cases):])) == (200, 8)
 
 
 def test_interpolation_check(grids, profiles):

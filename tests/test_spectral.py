@@ -309,7 +309,7 @@ def test_derived_depth_halves_the_levels(name, most, any_profile):
     # and 59 for C3 at these corners and the default tol 1e-9.
     p = any_profile(name, 1)
     corners = 4 * math.pi * np.array(list(itertools.product((-1.0, 1.0), repeat=p.d)))
-    assert spectral._truncation_depth(p, corners, None) <= most
+    assert np.max(spectral._truncation_depth(p, corners, None)) <= most
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -318,7 +318,7 @@ def test_univariate_closure_is_exact_at_depth_zero(a, m):
     # phi_hat_1 = G/P for every 1-D dilation, so h = 0 and no level is needed.
     p = spectral.make_profile([[a]], m=m)
     xs = np.linspace(-4 * math.pi, 4 * math.pi, 20001).reshape(-1, 1)
-    assert spectral._truncation_depth(p, xs, None) == 0
+    assert np.max(spectral._truncation_depth(p, xs, None)) == 0
     # 5 ulp of 1 (1.1e-15); the earlier bound-sized depths gave up to 2.6e-15.
     closed = helpers.sinc_squared(xs[:, 0]) ** m
     assert np.max(np.abs(phi_hat(p, xs) - closed)) <= 5 * np.spacing(1.0)
@@ -327,6 +327,24 @@ def test_univariate_closure_is_exact_at_depth_zero(a, m):
     far = np.array([[1234.5], [1e5], [-3.3e7]])
     ref = helpers.sinc_squared(far[:, 0]) ** m
     assert np.all(np.abs(phi_hat(p, far) - ref) <= p.truncation_tol * ref)
+
+
+@pytest.mark.parametrize("name,m", LIMIT_CASES)
+def test_row_values_do_not_depend_on_the_batch(name, m, any_profile):
+    # Each row takes its own depth, so its value is the one it has alone; what
+    # remains is the rounding of the mask's cosine sum (a BLAS gemv).
+    p = any_profile(name, m)
+    rng = np.random.default_rng(31)
+    x = rng.uniform(-4 * math.pi, 4 * math.pi, size=(2000, p.d))
+    rows = rng.choice(len(x), size=100, replace=False)
+    depth = spectral._truncation_depth(p, x, None)
+    for fn in (phi_hat, M_eval):
+        batch = fn(p, x)
+        for r in rows:
+            alone = fn(p, x[r:r + 1])[0]
+            assert abs(batch[r] - alone) <= 1e-14 * max(1.0, abs(alone)), (fn.__name__, r)
+    for r in rows:
+        assert spectral._truncation_depth(p, x[r:r + 1], None).tolist() == [depth[r]]
 
 
 @pytest.mark.parametrize("fn", [mu, M_eval, phi_hat], ids=["mu", "M_eval", "phi_hat"])
