@@ -304,9 +304,23 @@ def orthogonal_part(A: DilationMatrix, qf: QuadraticForm) -> OrthogonalPart:
     return OrthogonalPart(U, Q)
 
 
+def quadratic_rows(x: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """x_n^T S x_n for each row of x (N, d), summed over (i, j) in row-major
+    order.  The order is fixed, so a row has the same bits alone or in any
+    batch; einsum("ni,ij,nj->n") gives these bits for N >= 3 rows, but its
+    iterator reorders the sum when N is 1 or 2.  As in einsum, a row that
+    overflows gives inf or nan without a warning; callers test the result."""
+    out = np.zeros(len(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(x.shape[1]):
+            for j in range(x.shape[1]):
+                out += x[:, i] * S[i, j] * x[:, j]
+    return out
+
+
 def eval_P(qf: QuadraticForm, xi) -> float | np.ndarray:
     """Quadratic form P(xi) = xi^T Q^2 xi; accepts a point (d,) or batch (N, d)."""
     x = np.asarray(xi, dtype=float)
     if x.ndim == 1:
         return float(x @ qf.Q2 @ x)
-    return np.einsum("ni,ij,nj->n", x, qf.Q2, x)
+    return quadratic_rows(x, qf.Q2)

@@ -301,7 +301,7 @@ def _closure(profile: SpectralProfile, eta: np.ndarray, with_G_over_P: bool) -> 
     e = eta[far]
     P = matana.eval_P(profile.Q2, e)
     if profile.d > 1:
-        h = (-0.5 * np.einsum("ni,ij,nj->n", e, profile.second_moment, e)
+        h = (-0.5 * matana.quadratic_rows(e, profile.second_moment)
              - profile.G.quartic_form(e) / (24.0 * P))
         out[far] = np.exp(h)
     if with_G_over_P:

@@ -143,9 +143,9 @@ class TrigPoly:
         H, a, b = self.real_terms
         x = np.asarray(xi, dtype=float)
         ph = np.atleast_2d(x) @ H.T
-        vals = np.cos(ph) @ a
+        vals = np.einsum("ij,j->i", np.cos(ph), a)
         if b is not None:
-            vals += np.sin(ph) @ b
+            vals += np.einsum("ij,j->i", np.sin(ph), b)
         return float(vals[0]) if x.ndim == 1 else vals
 
     def quartic_form(self, xi) -> np.ndarray:
@@ -158,7 +158,7 @@ class TrigPoly:
         y = np.atleast_2d(np.asarray(xi, dtype=float)) @ H.T
         y *= y
         y *= y
-        return y @ alpha.real
+        return np.einsum("ij,j->i", y, alpha.real)
 
     def eval_at_two_pi(self, s) -> complex:
         """Evaluate at xi = 2 pi s for exact rational s, with compensated sums.
@@ -299,7 +299,7 @@ def eval_G_stable(qf: QuadraticForm, xi):
     single = x.ndim == 1
     x = np.atleast_2d(x)
     Q2 = qf.Q2
-    out = 4.0 * (np.sin(0.5 * x) ** 2 @ np.diag(Q2).copy())
+    out = 4.0 * np.einsum("ij,j->i", np.sin(0.5 * x) ** 2, np.diag(Q2))
     sx = np.sin(x) if qf.d > 1 else None
     for i in range(qf.d):
         for j in range(i + 1, qf.d):
