@@ -12,18 +12,24 @@ lattice, so the cascade itself never interpolates).
 
 Grids are stored densely over the integer index bounding box of the support
 region; entries outside the support parallelogram stay 0, which doubles as
-the zero extension used by stencils.
+the zero extension used by stencils.  The geometry of a level is exact
+integer arithmetic: with D = q^J, the matrix M = D A^{-J} is an integer
+matrix, so the point of index j is the rational x = M j / D, it lies in the
+support box exactly when D lo <= M j <= D hi, and its float coordinates are
+one correctly rounded division each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .digits import int_adjugate
 from .errors import ConfigError, NoConvergence, NonSimpleEigenvalue, NumericalBreakdown
-from .matana import DilationMatrix
+from .matana import DilationMatrix, int_det
 from .trigpoly import RefinementCoefficients, TrigPoly, refinement_coefficients
 
 # Eigenvalue 1 counts as simple while the bordered matrix M stays 1/_EIG_TOL
@@ -39,22 +45,20 @@ _PROBE_FREQUENCIES = (1.0, math.sqrt(2.0), math.sqrt(3.0))
 # times max |v|; on the fixtures and on C3 up to m = 4 they stay below 1e-14.
 _EIGEN_RESIDUAL_TOL = 1e-10
 
-# Largest dense grid (index bounding box) a level may take.  A grid keeps 9
-# bytes a cell (float64 values, bool mask); a refinement step also holds the
-# coarser level and a temporary of its size, about 17 bytes a cell at the
-# peak for q = 2 (tracemalloc), so 2^24 cells peak near 0.3 GB.  The
-# benchmark's largest grid, A3 at m = 2 and J = 11, has 805 809 cells; C3 at
-# m = 2 and J = 3 has 33 825.
+# Largest dense grid (index bounding box) a level may take.  A grid keeps 8
+# bytes a cell (float64 values), and 1 more once its mask is read; a
+# refinement step also holds the coarser level and a temporary of its size,
+# about 16 bytes a cell at the peak for q = 2 (tracemalloc), so 2^24 cells
+# peak near 0.3 GB.  The benchmark's largest grid, A3 at m = 2 and J = 11,
+# has 805 809 cells; C3 at m = 2 and J = 3 has 33 825.
 MAX_GRID_CELLS = 1 << 24
-# Cells per slab in which a new grid's support mask is filled.  A slab's
-# float64 points take 8 d bytes a cell, under 100 KB for d <= 3; slabs of
-# 2^14 cells left the lattice benchmark's peak RSS 0.7 MB higher after 36 s
-# of repeated passes.
-INSIDE_BLOCK = 1 << 12
 # (row, shift) pairs per block of LatticeGrid.shifts.  Beside the result a
 # block holds its d axis positions, bounds mask, flat positions and values,
 # about 8 (d + 3) bytes a pair: 2.6 MB at d = 2.
 SHIFT_BLOCK = 1 << 16
+# (tap, box point) pairs per block of transition_matrix.  A block holds their
+# d int64 positions and three masks, 8 d + 3 bytes a pair: 19 MB at d = 2.
+_PAIR_BLOCK = 1 << 20
 
 @dataclass(frozen=True)
 class SupportBox:
@@ -112,8 +116,11 @@ class LatticeGrid:
     """Values of phi on A^{-J} Z^d restricted to the support box.
 
     `data` is dense over the index bounding box with `offset` mapping index
-    vectors to array positions; `inside` marks indices whose Cartesian point
-    lies in the box.  quadrature_weight = q^{-J} = |det A^{-J}|.
+    vectors to array positions.  The in-box index points j, those whose point
+    x = A^{-J} j = M j / D (`numerators`) lies in the box, are read off one integer
+    interval per line of the last axis (`lines`); `inside`, their mask over
+    `data`, is built from the intervals when it is first read, so the levels
+    of a cascade never build one.  quadrature_weight = q^{-J} = |det A^{-J}|.
     """
 
     J: int
@@ -121,25 +128,111 @@ class LatticeGrid:
     box: SupportBox
     offset: np.ndarray
     data: np.ndarray
-    inside: np.ndarray = field(repr=False)
 
     @property
     def quadrature_weight(self) -> float:
         return float(self.A.q) ** (-self.J)
 
+    @cached_property
+    def numerators(self) -> tuple[np.ndarray, int]:
+        """(M, D): D = q^J and the int64 matrix M = D A^{-J}, so the point of
+        index j is exactly x = M j / D.
+
+        A^{-J} = adj(A)^J / det(A)^J with det A = +-q, so M = (sign det A)^J
+        adj(A)^J, formed in exact integers and checked against M A^J = D I.
+        Raises ConfigError when some (M j)_c over the stored index range could
+        reach 2^53: below that every numerator, and every sum of the interval
+        arithmetic, is exact in int64 and in float64, so M j / D is one
+        correctly rounded division.
+        """
+        A, J = self.A, self.J
+        sign = 1 if int_det(A.entries) > 0 else -1
+        M = sign ** J * np.linalg.matrix_power(np.array(int_adjugate(A.entries), dtype=object), J)
+        D = A.q ** J
+        if not np.array_equal(M @ np.linalg.matrix_power(A.entries.astype(object), J),
+                              D * np.eye(A.d, dtype=np.int64)):
+            raise AssertionError(f"adj(A)^{J} is not q^{J} A^-{J}")
+        reach = np.maximum(np.abs(self.offset), np.abs(self.offset + self.data.shape - 1))
+        bound = max(np.abs(M) @ reach.astype(object))
+        if bound >= 2 ** 53:
+            raise ConfigError(f"level J={self.J} has lattice numerators up to {bound}; "
+                              f"at most 2^53 are exact")
+        return M.astype(np.int64), D
+
+    @cached_property
+    def lines(self) -> tuple[np.ndarray, ...]:
+        """(line, heads, first, begins) for the lines of the last axis that
+        meet the box, in lexicographic order: each line's position among all
+        lines of `data`, its first d - 1 index coordinates, the first in-box
+        j_d, and the running count of in-box points before it (one entry
+        more, ending with the total).
+
+        On the line j = (h, t), M j = M' h + m t with m the last column of
+        M, and D lo <= M j <= D hi holds for one interval of integers t: the
+        bounds are exact floor and ceiling quotients.
+        """
+        M, D = self.numerators
+        shape, d = self.data.shape, self.A.d
+        heads = (np.indices(shape[:-1], dtype=np.int64).reshape(d - 1, math.prod(shape[:-1])).T
+                 + self.offset[:-1])
+        base = heads @ M[:, :-1].T
+        first = np.full(len(heads), self.offset[-1])
+        last = first + shape[-1] - 1
+        for c, m in enumerate(M[:, -1].tolist()):
+            low, high = D * int(self.box.lo[c]) - base[:, c], D * int(self.box.hi[c]) - base[:, c]
+            if m == 0:
+                last[(low > 0) | (high < 0)] = self.offset[-1] - 1
+                continue
+            if m < 0:
+                low, high = high, low
+            np.maximum(first, -(-low // m), out=first)
+            np.minimum(last, high // m, out=last)
+        count = last - first + 1
+        line = np.flatnonzero(count > 0)
+        begins = np.concatenate([[0], np.cumsum(count[line])])
+        return line, heads[line], first[line], begins
+
+    @cached_property
+    def inside(self) -> np.ndarray:
+        """Mask over `data` of the in-box index points."""
+        line, _, first, begins = self.lines
+        n = self.data.shape[-1]
+        t = np.arange(n) + self.offset[-1]
+        inside = np.zeros((self.data.size // n, n), dtype=bool)
+        inside[line] = (t >= first[:, None]) & (t < (first + np.diff(begins))[:, None])
+        return inside.reshape(self.data.shape)
+
+    @property
+    def npoints(self) -> int:
+        """Number of in-box index points."""
+        return int(self.lines[-1][-1])
+
+    def rows(self, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(j, flat) for the in-box points start .. stop - 1 in lexicographic
+        order: their index vectors (n, d) and their positions in data.ravel()."""
+        line, heads, first, begins = self.lines
+        r = np.arange(start, self.npoints if stop is None else stop)
+        k = np.searchsorted(begins, r, side="right") - 1
+        t = first[k] + (r - begins[k])
+        j = np.empty((len(r), self.A.d), dtype=np.int64)
+        j[:, :-1] = heads[k]
+        j[:, -1] = t
+        return j, line[k] * self.data.shape[-1] + (t - self.offset[-1])
+
     @property
     def index_points(self) -> np.ndarray:
         """In-box integer index vectors j, lexicographic order."""
-        return np.argwhere(self.inside) + self.offset
+        return self.rows()[0]
 
     @property
     def values(self) -> np.ndarray:
-        return self.data[self.inside]
+        return self.data.ravel()[self.rows()[1]]
 
     def cartesian_points(self) -> np.ndarray:
-        """x = A^{-J} j for the in-box indices."""
-        AmJ = np.linalg.inv(self.A.power(self.J).astype(float))
-        return self.index_points @ AmJ.T
+        """x = A^{-J} j = M j / D for the in-box indices: the nearest doubles
+        to the exact rationals."""
+        M, D = self.numerators
+        return (self.index_points @ M.T) / D
 
     def lookup(self, idx) -> np.ndarray:
         """Values at integer index vectors (N, d); 0 outside the stored range."""
@@ -209,43 +302,20 @@ def grid_bounds(A: DilationMatrix, box: SupportBox, J: int):
 
 
 def _empty_grid(A: DilationMatrix, box: SupportBox, J: int) -> LatticeGrid:
-    """Zero level-J grid whose mask marks the index points j with A^{-J} j in `box`.
-
-    x = A^{-J} j = sum_i j_i a_i, with a_i column i of A^{-J}, is summed from
-    one table j_i a_i per axis, broadcast over a slab of the first axis at a
-    time, so only one slab's points (about INSIDE_BLOCK) are alive beside the
-    grid.  x lies in q^{-J} Z^d, so it is on a face of the box or at least
-    q^{-J} away from it, far beyond the 1e-9 slack for any grid within
-    MAX_GRID_CELLS: the mask does not depend on how the sums are rounded.
-    """
+    """Zero level-J grid over the index bounding box of `box`."""
     lo_idx, shape = grid_bounds(A, box, J)
-    d = A.d
-    cols = np.linalg.inv(A.power(J).astype(float)).T
-    tables = []
-    for i, (lo, n, a) in enumerate(zip(lo_idx, shape, cols)):
-        axis_shape = (1,) * i + (n,) + (1,) * (d - 1 - i) + (d,)
-        tables.append(((lo + np.arange(n))[:, None] * a).reshape(axis_shape))
-    inside = np.empty(shape, dtype=bool)
-    slab = max(1, INSIDE_BLOCK // math.prod(shape[1:]))
-    for start in range(0, shape[0], slab):
-        x = tables[0][start:start + slab]
-        for t in tables[1:]:
-            x = x + t
-        ok = (x >= box.lo - 1e-9) & (x <= box.hi + 1e-9)
-        part = inside[start:start + slab]
-        part[...] = ok[..., 0]
-        for c in range(1, d):
-            part &= ok[..., c]
-    return LatticeGrid(J, A, box, lo_idx, np.zeros(shape), inside)
+    return LatticeGrid(J, A, box, lo_idx, np.zeros(shape))
 
 
 def transition_matrix(A: DilationMatrix, rc: RefinementCoefficients, box: SupportBox):
     """T[j, k] = c_{A j - k} restricted to the box points that can carry a value.
 
-    Built tap by tap: for each c_k the in-box columns A j - k of all box points
-    j are found at once, so the work is (taps x points), not points^2.  Then
-    every point whose row has no nonzero entry on the surviving set is dropped,
-    as a row and as a column, until the set stops changing.
+    Built a block of taps at a time: for each c_k of the block the in-box
+    columns A j - k of all box points j are found at once, so the work is
+    (taps x points), not points^2, and a block holds about _PAIR_BLOCK
+    (tap, point) pairs.  Then every point whose row has no nonzero entry on
+    the surviving set is dropped, as a row and as a column, until the set
+    stops changing.
 
     The pruning is exact for the eigenvalue-1 problem.  Listing the pruned
     points in the order they were removed, then the kept set K, puts T in the
@@ -263,15 +333,19 @@ def transition_matrix(A: DilationMatrix, rc: RefinementCoefficients, box: Suppor
     box_pts = np.indices(shape).reshape(A.d, -1).T + box.lo
     n = len(box_pts)
     Aj_lo = box_pts @ A.entries.T - box.lo
+    K = np.array([k for k, ck in rc.c.items() if ck != 0], dtype=np.int64).reshape(-1, A.d)
+    C = np.array([ck for ck in rc.c.values() if ck != 0], dtype=float)
     rows, cols, vals = [], [], []
-    for k, ck in rc.c.items():
-        if ck == 0:
-            continue
-        pos = Aj_lo - np.asarray(k, dtype=np.int64)
-        ok = np.all((pos >= 0) & (pos < shape), axis=1)
-        rows.append(np.nonzero(ok)[0])
-        cols.append(np.ravel_multi_index(tuple(pos[ok].T), shape))
-        vals.append(np.full(len(rows[-1]), ck))
+    step = max(1, _PAIR_BLOCK // max(1, n))
+    for start in range(0, len(K), step):
+        pos = Aj_lo - K[start:start + step, None, :]
+        ok = (pos[..., 0] >= 0) & (pos[..., 0] < shape[0])
+        for c in range(1, A.d):
+            ok &= (pos[..., c] >= 0) & (pos[..., c] < shape[c])
+        tap, row = np.nonzero(ok)
+        rows.append(row)
+        cols.append(np.ravel_multi_index(tuple(pos[tap, row].T), shape))
+        vals.append(C[start + tap])
     rows, cols, vals = map(np.concatenate, (rows, cols, vals))
     alive = np.ones(n, dtype=bool)
     while True:

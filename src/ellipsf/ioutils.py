@@ -7,7 +7,9 @@ CPython's "%.17g".  The CSV writers render whole columns with
 format_float_array, a numpy kernel with the same bytes: correctly rounded
 digits from a double-double product with an exact power-of-ten table (Dekker,
 Numer. Math. 18, 1971), spelled through fixed byte patterns, and CPython for
-the few values it cannot certify.
+the few values it cannot certify.  A lattice coordinate is formatted once per
+integer numerator of the level (x = n / D exactly), a field coordinate once
+per distinct value.
 """
 
 from __future__ import annotations
@@ -259,6 +261,14 @@ def format_float_array(values: np.ndarray):
     return text.view(f"S{_WIDTH}").ravel(), fallback
 
 
+def _formatted_table(values: np.ndarray) -> np.ndarray:
+    """format_float of every value as an S24 array, a kernel block at a time."""
+    table = np.empty(len(values), f"S{_WIDTH}")
+    for start in range(0, len(values), _CSV_BLOCK):
+        table[start:start + _CSV_BLOCK] = format_float_array(values[start:start + _CSV_BLOCK])[0]
+    return table
+
+
 def _formatted_column(column: np.ndarray):
     """(table, index): the distinct values of `column` as format_float text in
     an S24 array (format_float_array), and each row's int32 position in it.
@@ -273,46 +283,55 @@ def _formatted_column(column: np.ndarray):
     np.not_equal(bits[1:], bits[:-1], out=first[1:])
     index = np.empty(len(bits), dtype=np.int32)
     index[order] = np.cumsum(first, dtype=np.int32) - 1
-    distinct = bits[first].view(np.float64)
-    table = np.empty(len(distinct), f"S{_WIDTH}")
-    for start in range(0, len(distinct), _CSV_BLOCK):
-        table[start:start + _CSV_BLOCK] = format_float_array(distinct[start:start + _CSV_BLOCK])[0]
-    return table, index
+    return _formatted_table(bits[first].view(np.float64)), index
 
 
-def _csv_parts(header: str, columns: list, values: np.ndarray) -> list:
-    """The CSV as a list of texts: header, then one "p_1,...,p_d,value" row
-    per value.  Each block of rows is laid out as fixed 25-byte fields (the
-    NUL-padded text and its ',' or newline), coordinates from their
-    _formatted_column tables and values from format_float_array, and
-    compacted once by dropping the NULs."""
-    d = len(columns)
+def _csv_text(header: str, d: int, blocks) -> str:
+    """The CSV: header, then one "p_1,...,p_d,value" row per value.  Each of
+    `blocks` is (coordinate texts, values): d S24 arrays and the float64
+    values of its rows.  A block is laid out as fixed 25-byte fields (the
+    NUL-padded text and its ',' or newline), values from format_float_array,
+    and compacted once by dropping the NULs."""
     parts = [header, "\n"]
-    for start in range(0, len(values), _CSV_BLOCK):
-        end = min(start + _CSV_BLOCK, len(values))
-        buf = np.empty((end - start, d + 1, _WIDTH + 1), dtype=np.uint8)
-        for j, (table, index) in enumerate(columns):
-            buf[:, j, :_WIDTH] = table.take(index[start:end]).view(np.uint8).reshape(-1, _WIDTH)
-        buf[:, d, :_WIDTH] = format_float_array(values[start:end])[0].view(np.uint8).reshape(-1, _WIDTH)
+    for coords, values in blocks:
+        buf = np.empty((len(values), d + 1, _WIDTH + 1), dtype=np.uint8)
+        for j, text in enumerate(coords):
+            buf[:, j, :_WIDTH] = text.view(np.uint8).reshape(-1, _WIDTH)
+        buf[:, d, :_WIDTH] = format_float_array(values)[0].view(np.uint8).reshape(-1, _WIDTH)
         buf[:, :, _WIDTH] = ord(",")
         buf[:, d, _WIDTH] = ord("\n")
         parts.append(str(buf[buf != 0], "ascii"))
-    return parts
+    return "".join(parts)
 
 
 def grid_csv(grid) -> str:
     """Lattice grid dump: comment header, then x_1,...,x_d,value rows in
-    lexicographic index order.  The points are dropped once tabulated and
-    the tables before the join, so the peak is the parts and the text."""
+    lexicographic index order.
+
+    A coordinate x_c = n_c / D has an integer numerator n_c = (M j)_c in
+    [D lo_c, D hi_c] (grid.numerators), so each column's texts come from one
+    table over that range, indexed by n_c - D lo_c.  Rows are built from the
+    grid's line intervals a block at a time, and the tables are dropped
+    before the join, so the peak is the block texts and the joined text."""
     header = f"# A={[list(map(int, r)) for r in grid.A.entries]}, J={grid.J}, d={grid.A.d}"
-    points = grid.cartesian_points()
-    columns = [_formatted_column(c) for c in points.T]
-    del points
-    parts = _csv_parts(header, columns, grid.values)
-    del columns
-    return "".join(parts)
+
+    def blocks():
+        M, D = grid.numerators
+        low = D * grid.box.lo
+        tables = [_formatted_table(np.arange(lo, D * hi + 1) / D) for lo, hi in zip(low, grid.box.hi)]
+        flat, n = grid.data.ravel(), grid.npoints
+        for start in range(0, n, _CSV_BLOCK):
+            j, at = grid.rows(start, min(start + _CSV_BLOCK, n))
+            numerators = j @ M.T - low
+            yield [t.take(c) for t, c in zip(tables, numerators.T)], flat[at]
+    return _csv_text(header, grid.A.d, blocks())
 
 
 def field_csv(points: np.ndarray, values: np.ndarray, header: str) -> str:
     """Rectangular field dump (columns xi_1..xi_d,value)."""
-    return "".join(_csv_parts(header, [_formatted_column(c) for c in points.T], values))
+    def blocks():
+        columns = [_formatted_column(c) for c in points.T]
+        for s in range(0, len(values), _CSV_BLOCK):
+            yield ([table.take(index[s:s + _CSV_BLOCK]) for table, index in columns],
+                   values[s:s + _CSV_BLOCK])
+    return _csv_text(header, points.shape[1], blocks())

@@ -319,8 +319,9 @@ def quadratic_rows(x: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def eval_P(qf: QuadraticForm, xi) -> float | np.ndarray:
-    """Quadratic form P(xi) = xi^T Q^2 xi; accepts a point (d,) or batch (N, d)."""
+    """Quadratic form P(xi) = xi^T Q^2 xi; accepts a point (d,) or batch (N, d).
+    A point has the bits of its row in a batch (quadratic_rows)."""
     x = np.asarray(xi, dtype=float)
     if x.ndim == 1:
-        return float(x @ qf.Q2 @ x)
+        return float(quadratic_rows(x[None], qf.Q2)[0])
     return quadratic_rows(x, qf.Q2)

@@ -121,11 +121,13 @@ class TrigPoly:
         return H, np.array(alpha, dtype=complex), np.array(beta, dtype=complex), has_sin
 
     def eval(self, xi):
-        """Evaluate at a point (d,) or batch (N, d); returns complex."""
+        """Evaluate at a point (d,) or batch (N, d); returns complex.  Each
+        row is summed in a fixed order (einsum, no BLAS), so a row has the
+        same bits alone or in any batch."""
         H, alpha, beta, _ = self._folded
         x = np.asarray(xi, dtype=float)
         ph = np.atleast_2d(x) @ H.T
-        vals = np.cos(ph) @ alpha - 1j * (np.sin(ph) @ beta)
+        vals = np.einsum("ij,j->i", np.cos(ph), alpha) - 1j * np.einsum("ij,j->i", np.sin(ph), beta)
         return complex(vals[0]) if x.ndim == 1 else vals
 
     @property

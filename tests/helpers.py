@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the code paths under test: coefficients
 come from FFT sampling of closed-form expressions, spline values from their
-piecewise formulas, coset arithmetic from exact rationals, and the cascade's
-scatter from one slice add per tap.  The Fourier-side checks are kept as
-they were written before they batched their spectral calls: one call per
-orbit point or per monomial.
+piecewise formulas, coset arithmetic from exact rationals, the cascade's
+scatter from one slice add per tap, the transition build from one pass per
+tap and the support mask from float points.  The Fourier-side checks are
+kept as they were written before they batched their spectral calls: one
+call per orbit point or per monomial.
 """
 
 import functools
@@ -191,3 +192,53 @@ def mask_is_interpolating_by_shifts(profile):
     total = sum((profile.m0.shift_argument(s) for s in profile.digits_AT.S), TrigPoly(profile.d))
     zero = (0,) * profile.d
     return all(abs(c - (k == zero)) <= 1e-12 for k, c in {zero: 0.0, **total.coeffs}.items())
+
+
+# The transition build as it was written before it took blocks of taps: one
+# pass over the box points per tap.  Every (row, column) pair is unique, so
+# the matrices must agree bit for bit.
+
+def transition_matrix_by_taps(A, rc, box):
+    """cascade.transition_matrix with one pass per tap."""
+    shape = tuple(int(w) + 1 for w in box.widths)
+    box_pts = np.indices(shape).reshape(A.d, -1).T + box.lo
+    n = len(box_pts)
+    Aj_lo = box_pts @ A.entries.T - box.lo
+    rows, cols, vals = [], [], []
+    for k, ck in rc.c.items():
+        if ck == 0:
+            continue
+        pos = Aj_lo - np.asarray(k, dtype=np.int64)
+        ok = np.all((pos >= 0) & (pos < shape), axis=1)
+        rows.append(np.nonzero(ok)[0])
+        cols.append(np.ravel_multi_index(tuple(pos[ok].T), shape))
+        vals.append(np.full(len(rows[-1]), ck))
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    alive = np.ones(n, dtype=bool)
+    while True:
+        live = alive[rows] & alive[cols]
+        rows, cols, vals = rows[live], cols[live], vals[live]
+        nonzero_row = np.bincount(rows, minlength=n) > 0
+        if np.array_equal(nonzero_row, alive):
+            break
+        alive = nonzero_row
+    keep = np.nonzero(alive)[0]
+    new_index = np.cumsum(alive) - 1
+    n = len(keep)
+    T = np.zeros((n, n))
+    T[new_index[rows], new_index[cols]] = vals
+    return T, box_pts[keep]
+
+
+# The support mask as it was computed before the interval geometry: x = A^{-J}
+# j summed from one float table j_i a_i per axis, a_i column i of the float
+# inverse of A^J, and tested against the box with a 1e-9 slack.
+
+def float_inside(A, box, J):
+    lo_idx, shape = cascade.grid_bounds(A, box, J)
+    cols = np.linalg.inv(A.power(J).astype(float)).T
+    x = 0.0
+    for i, (lo, n, a) in enumerate(zip(lo_idx, shape, cols)):
+        axis_shape = (1,) * i + (n,) + (1,) * (A.d - 1 - i) + (A.d,)
+        x = x + ((lo + np.arange(n))[:, None] * a).reshape(axis_shape)
+    return np.all((x >= box.lo - 1e-9) & (x <= box.hi + 1e-9), axis=-1)

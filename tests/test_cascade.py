@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellipsf import cascade, spectral, trigpoly
+from ellipsf import cascade, digits, spectral, trigpoly
 from ellipsf.errors import ConfigError, NonSimpleEigenvalue, NumericalBreakdown
 from ellipsf.trigpoly import RefinementCoefficients, TrigPoly, refinement_coefficients
 
 import helpers
+from conftest import MATRICES
+from test_generalization import ZOO
 
 
 def _rc(profile, m=1):
@@ -162,6 +164,23 @@ def test_pruned_transition_matches_literal_definition(name, m, profiles):
         # small, so the values are held to the eigen-equation of the full T.
         assert np.max(np.abs(T_full @ ref - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert abs(math.fsum(ref) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("name,m", [(n, m) for n in ("A1", "A2", "A3", "A4", "uni")
+                                    for m in (1, 2)] + [("C3", 1), ("C3", 2)])
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_transition_matrix_matches_tap_loop(name, m, block, profiles, monkeypatch):
+    # Every (row, column) pair is set once, so blocks of taps give the
+    # loop's matrix bit for bit, whatever the block size.
+    p = spectral.make_profile(M3) if name == "C3" else profiles(name)
+    rc = _rc(p, m)
+    box = cascade.support_box(p.A, rc)
+    if block is not None:
+        monkeypatch.setattr(cascade, "_PAIR_BLOCK", block * math.prod(int(w) + 1 for w in box.widths))
+    T, pts = cascade.transition_matrix(p.A, rc, box)
+    T_ref, pts_ref = helpers.transition_matrix_by_taps(p.A, rc, box)
+    assert np.array_equal(pts, pts_ref)
+    assert np.array_equal(T.view(np.int64), T_ref.view(np.int64))
 
 
 def test_integer_values_match_eig_on_c3_order_two():
@@ -417,3 +436,62 @@ def test_sample_phi_m_rejects_before_building_a_level(profiles, monkeypatch):
     with pytest.raises(ConfigError):
         cascade.sample_phi_m(p.A, p.m0, 1, 3)
 
+
+# The 2+i dilation: q = 5, so no lattice point off Z^2 is a dyadic rational
+# and a float inverse of A^J rounds its coordinates at every level J >= 1.
+TWO_PLUS_I = [[2, -1], [1, 2]]
+# C3 conjugated by the shear U = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]: at J = 1,
+# 2 and 4 a row of M has a zero last entry, and some lines of the index box
+# hold no point because of that row alone.
+C3_CONJUGATE = [[1, -1, 2], [1, -1, 0], [0, 1, 0]]
+
+
+MASK_CASES = {**{name: MATRICES[name] for name in ("A1", "A2", "A3", "A4", "uni")},
+              "C3": M3, "2+i": TWO_PLUS_I, "C3-sheared": C3_CONJUGATE,
+              **{f"zoo{i}": matrix for i, matrix in enumerate(ZOO)}}
+
+
+@pytest.mark.parametrize("matrix", list(MASK_CASES.values()), ids=list(MASK_CASES))
+def test_inside_matches_float_mask(matrix):
+    # Levels up to 2^18 cells, where the float test is cheap.
+    p = spectral.make_profile(matrix)
+    box = p.refinement[1]
+    for J in range(12):
+        shape = cascade.grid_bounds(p.A, box, J)[1]
+        if math.prod(shape) > 1 << 18:
+            break
+        grid = cascade._empty_grid(p.A, box, J)
+        expected = helpers.float_inside(p.A, box, J)
+        assert np.array_equal(grid.inside, expected), J
+        assert np.array_equal(grid.index_points, np.argwhere(expected) + grid.offset), J
+    assert J >= 3
+
+
+def test_values_and_rows_follow_the_mask(grids):
+    g = grids("A3", 1, 5)
+    assert np.array_equal(g.values, g.data[g.inside])
+    j, flat = g.rows(100, 1000)
+    assert np.array_equal(j, g.index_points[100:1000])
+    assert np.array_equal(flat, np.flatnonzero(g.inside)[100:1000])
+
+
+def _exact_points(grid):
+    """A^{-J} j as Fractions, from the exact inverse of A^J itself."""
+    AJ = grid.A.power(grid.J)
+    det = digits.int_det(AJ)
+    adj = digits.int_adjugate(AJ)
+    return [[Fraction(sum(a * int(v) for a, v in zip(row, j)), det) for row in adj]
+            for j in grid.index_points]
+
+
+@pytest.mark.parametrize("matrix, m, J", [(MATRICES["A3"], 2, 6), (TWO_PLUS_I, 1, 3)],
+                         ids=["A3", "2+i"])
+def test_cartesian_points_are_the_nearest_doubles(matrix, m, J):
+    p = spectral.make_profile(matrix, m=m)
+    grid = cascade.sample_phi(p.A, *p.refinement, J)
+    x = grid.cartesian_points()
+    exact = _exact_points(grid)
+    assert x.tolist() == [[float(c) for c in row] for row in exact]
+    # A float inverse of A^J misses at least one of these points.
+    rounded = grid.index_points @ np.linalg.inv(p.A.power(J).astype(float)).T
+    assert not np.array_equal(rounded, x)

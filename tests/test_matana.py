@@ -220,3 +220,11 @@ def test_eval_P():
     assert matana.eval_P(qf2, [0.0, 0.0]) == 0.0
     batch = matana.eval_P(qf, np.array([[3.0, 4.0], [1.0, 0.0]]))
     assert np.allclose(batch, [25.0, 1.0])
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4"])
+def test_eval_P_point_has_the_bits_of_its_batch_row(name):
+    qf = matana.solve_quadratic_form(matana.validate_dilation(MATRICES[name]))
+    x = np.random.default_rng(3).uniform(-13.0, 13.0, size=(200, 2))
+    batch = matana.eval_P(qf, x)
+    assert [matana.eval_P(qf, row) for row in x] == batch.tolist()

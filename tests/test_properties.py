@@ -24,9 +24,11 @@ def test_partition_of_unity_hat_exact(grids):
 
 
 def test_partition_detects_broken_normalization(grids):
-    import copy
     g = grids("uni", 1, 3)
-    broken = cascade.LatticeGrid(g.J, g.A, g.box, g.offset, 2.0 * g.data, g.inside)
+    # The mask is no constructor argument: the copy derives it from the same
+    # geometry, and only the values are doubled.
+    broken = cascade.LatticeGrid(g.J, g.A, g.box, g.offset, 2.0 * g.data)
+    assert np.array_equal(broken.inside, g.inside)
     assert check_partition_of_unity(broken) == pytest.approx(1.0, abs=1e-10)
 
 

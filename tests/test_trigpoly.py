@@ -67,6 +67,18 @@ def test_eval_matches_termwise_sum(case):
     assert abs(p.eval_real(xs[0]) - literal[0].real) <= bound
 
 
+@pytest.mark.parametrize("name", ["A1", "A3", "A4", "uni"])
+def test_eval_row_does_not_depend_on_the_batch(name):
+    # A BLAS gemv changed the bits of 50 of these 200 quincunx rows with
+    # their batch; the fixed-order sum gives each row its bits alone.
+    A, qf, G, ds = _profile_parts(name)
+    m0 = trigpoly.build_mask(A, G, ds)
+    x = np.random.default_rng(5).uniform(-4 * math.pi, 4 * math.pi, size=(200, A.d))
+    batch = m0.eval(x)
+    assert [m0.eval(row) for row in x] == batch.tolist()
+    assert [m0.eval(x[r:r + 1])[0] for r in range(len(x))] == batch.tolist()
+
+
 def test_trigpoly_is_immutable():
     p = TrigPoly(2, {(1, 0): 0.5, (-1, 0): 0.5, (0, 2): 0.25j})
     with pytest.raises(TypeError):
