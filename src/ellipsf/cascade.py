@@ -52,6 +52,10 @@ _EIGEN_RESIDUAL_TOL = 1e-10
 # peak near 0.3 GB.  The benchmark's largest grid, A3 at m = 2 and J = 11,
 # has 805 809 cells; C3 at m = 2 and J = 3 has 33 825.
 MAX_GRID_CELLS = 1 << 24
+# Largest bordered transition matrix, 8 (n + 1)^2 bytes, that integer_values
+# may allocate (its solve factors a copy): C3's phi^4, n = 7,745, takes 480 MB;
+# the 4-D quincunx pair's phi^2, n = 53,049, would take 22.5 GB.
+MAX_TRANSITION_BYTES = 1 << 30
 # (row, shift) pairs per block of LatticeGrid.shifts.  Beside the result a
 # block holds its d axis positions, bounds mask, flat positions and values,
 # about 8 (d + 3) bytes a pair: 2.6 MB at d = 2.
@@ -327,7 +331,8 @@ def transition_matrix(A: DilationMatrix, rc: RefinementCoefficients, box: Suppor
     Returns (T, pts): the dense matrix over the kept points and those points
     as an (n, d) int64 array in lexicographic order.  T is the leading block
     of a zero (n + 1) x (n + 1) array, T.base, which integer_values borders in
-    place, so no second copy of T is made.
+    place, so no second copy of T is made.  Raises ConfigError before that
+    array is allocated when it would pass MAX_TRANSITION_BYTES.
     """
     shape = tuple(int(w) + 1 for w in box.widths)
     box_pts = np.indices(shape).reshape(A.d, -1).T + box.lo
@@ -358,6 +363,10 @@ def transition_matrix(A: DilationMatrix, rc: RefinementCoefficients, box: Suppor
     keep = np.nonzero(alive)[0]
     new_index = np.cumsum(alive) - 1
     n = len(keep)
+    nbytes = 8 * (n + 1) ** 2
+    if nbytes > MAX_TRANSITION_BYTES:
+        raise ConfigError(f"the transition matrix keeps n={n} points, so its bordered matrix "
+                          f"needs {nbytes} bytes; at most {MAX_TRANSITION_BYTES} are allowed")
     T = np.zeros((n + 1, n + 1))[:n, :n]
     T[new_index[rows], new_index[cols]] = vals
     return T, box_pts[keep]

@@ -19,6 +19,7 @@ from . import cascade, digits, operators, spectral
 from .cascade import LatticeGrid, SupportBox
 from .errors import ConfigError, DegreeTooHigh, NonSimpleEigenvalue
 from .spectral import SpectralProfile
+from .trigpoly import refinement_coefficients
 
 # Pinned settings of run_all; verify.json prints each check's tolerance.  A
 # tolerance is a ceiling on the residual, except the two floors
@@ -216,33 +217,6 @@ def check_nonnegativity(grid: LatticeGrid) -> float:
     return float(np.min(grid.values))
 
 
-def _smooth_size(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n: a length numpy's FFT handles fast."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())  # 2^a p35 >= n
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _fft_autoconvolve(a: np.ndarray) -> np.ndarray:
-    """Full linear convolution a * a, from one forward transform.
-
-    Each axis is transformed at the smallest 5-smooth length that holds the
-    2n - 1 outputs (a prime length such as 769 costs about 4x more), and
-    the result is cropped to them.
-    """
-    shape = [2 * n - 1 for n in a.shape]
-    fshape = [_smooth_size(s) for s in shape]
-    axes = list(range(a.ndim))
-    fa = np.fft.rfftn(a, fshape, axes=axes)
-    return np.fft.irfftn(fa * fa, fshape, axes=axes)[tuple(slice(s) for s in shape)]
-
-
 _NO_COARSER_LEVEL = "need J >= 1: level J - 1 is the coarser Richardson level"
 # At J = 0 the samples are integer points only.  There sum_k p(k) phi(n - k)
 # is p convolved with a finite sequence summing to 1: a polynomial with the
@@ -251,17 +225,7 @@ _NO_OFF_INTEGER_LEVEL = ("need J >= 1: on integer points alone the "
                          "expected-failure candidate cannot fail")
 
 
-def _rectangle_sums(g: LatticeGrid, idx: np.ndarray) -> np.ndarray:
-    """q^{-j} sum_k g[k] g[n - k] at the level-j index vectors n (rows of idx)."""
-    conv = _fft_autoconvolve(g.data) * g.quadrature_weight
-    pos = idx - 2 * g.offset
-    ok = np.all((pos >= 0) & (pos < np.array(conv.shape)), axis=1)
-    out = np.zeros(len(idx))
-    out[ok] = conv[tuple(pos[ok].T)]
-    return out
-
-
-def check_convolution(profile: SpectralProfile, J: int, grid: LatticeGrid | None = None,
+def check_convolution(profile: SpectralProfile, J: int, grid0: LatticeGrid | None = None,
                       detail: dict | None = None) -> float:
     """Max deviation of phi^m * phi^m from cascade phi^{2m} on the level-(J-1) lattice.
 
@@ -269,30 +233,53 @@ def check_convolution(profile: SpectralProfile, J: int, grid: LatticeGrid | None
     differ from the convolution integral only by the Poisson aliasing terms at
     2 pi (A^T)^j k, k != 0, which are O(h^{2m}) with h = q^{-j/d}.  One
     Richardson step (r S_J - S_{J-1}) / (r - 1), r = q^{2m/d}, removes that
-    term.  Both sums are taken at the level-(J-1) points
-    A^{-(J-1)} l = A^{-J} (A l), and the level-(J-1) samples are read off the
-    level-J grid, so phi^{2m} is cascaded to level J - 1 only.
+    term.  Both sums are taken at the level-(J-1) points A^{-(J-1)} l =
+    A^{-J} (A l).
 
-    `grid`, if given, holds the level-J samples of phi^m and stands in for
-    their cascade.  A dict passed as `detail` receives the raw deviation of
+    The sums are not formed from samples of phi^m.  A cascade level convolves
+    the coarser one with the taps c_k at A^j k, and phi^{2m}'s taps are those
+    convolved with themselves over q (the subdivision symbols multiply:
+    Cavaretta, Dahmen and Micchelli, Stationary Subdivision, 1991).  So the
+    defect S_j - phi^{2m} is the phi^{2m} cascade of E_0 = g_0 * g_0 -
+    phi^{2m}|Z^d, g_0 the integer values of phi^m.  E_0 is one scatter over
+    the nonzero entries of g_0 in lexicographic order, on a box holding
+    phi^{2m}'s box and the support of g_0 * g_0, so none of it is dropped.
+    Its level-(J-1) cascade is the coarse defect; one more level, of that
+    cascade coarsened to level J - 2 (or of E_0 at J = 1), gives the fine
+    defect at A l, so no level-J grid is formed.
+
+    `grid0`, if given, holds the integer values of phi^m and stands in for
+    their solve.  A dict passed as `detail` receives the raw deviation of
     S_J on the same points ("raw") and the factor ("r").
     """
     if J < 1:
         raise ValueError(_NO_COARSER_LEVEL)
-    if grid is not None and grid.J != J:
-        raise ValueError(f"grid is at level {grid.J}, not {J}")
-    A, m0, m = profile.A, profile.m0, profile.m
-    g = grid if grid is not None else cascade.sample_phi(A, *profile.refinement, J)
-    g2m = cascade.sample_phi_m(A, m0, 2 * m, J - 1)
-    idx = g2m.index_points
-    fine = _rectangle_sums(g, idx @ A.entries.T)
-    c = cascade.coarsen(g)
-    coarse = _rectangle_sums(c, idx)
+    if grid0 is not None and grid0.J != 0:
+        raise ValueError(f"grid0 is at level {grid0.J}, not 0")
+    A, m = profile.A, profile.m
+    g0 = grid0 if grid0 is not None else cascade.integer_values(A, *profile.refinement)
+    rc2 = refinement_coefficients(profile.m0 ** (2 * m), profile.q)
+    box2 = cascade.support_box(A, rc2)
+    lo, shape = cascade.grid_bounds(A, box2, J - 1)  # an oversize level fails before the solve
+    phi2 = cascade.integer_values(A, rc2, box2)
+    box = SupportBox(np.minimum(box2.lo, 2 * g0.box.lo), np.maximum(box2.hi, 2 * g0.box.hi))
+    E = cascade._empty_grid(A, box, 0)
+    nonzero = g0.data != 0
+    cascade.scatter_taps(E, g0, np.argwhere(nonzero) + g0.offset, g0.data[nonzero])
+    at = phi2.offset - E.offset
+    E.data[tuple(map(slice, at, at + phi2.data.shape))] -= phi2.data
+    for _ in range(J - 1):
+        E = cascade.refine(A, rc2, E)
+    # The fine defect at the points A l, on E's level-(J-1) grid.
+    F = (cascade.coarsen(cascade.refine(A, rc2, E)) if J == 1
+         else cascade.refine(A, rc2, cascade.coarsen(E)))
+    window = tuple(map(slice, lo - E.offset, lo - E.offset + shape))
+    inside = LatticeGrid(J - 1, A, box2, lo, E.data[window]).inside  # box2's points
+    fine, coarse = F.data[window][inside], E.data[window][inside]
     r = float(profile.q) ** (2 * m / profile.d)
-    extrapolated = (r * fine - coarse) / (r - 1.0)
     if detail is not None:
-        detail.update(raw=float(np.max(np.abs(fine - g2m.values))), r=r)
-    return float(np.max(np.abs(extrapolated - g2m.values)))
+        detail.update(raw=float(np.max(np.abs(fine))), r=r)
+    return float(np.max(np.abs((r * fine - coarse) / (r - 1.0))))
 
 
 def check_polynomial_reproduction(profile: SpectralProfile, p: Polynomial,
@@ -453,7 +440,8 @@ def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0) -> Pr
 
     B is the supremum of mu from spectral.estimate_B; the riesz_basis check
     compares it with the paper's threshold.  The cascade checks run at level
-    J on phi^m from profile.refinement, and seed draws their sample points.
+    J on phi^m from profile.refinement, the convolution check from its
+    integer values, and seed draws their sample points.
     """
     report = PropertyReport([[int(v) for v in row] for row in profile.A.entries], profile.m)
     # An oversize level is a bad request, not a property verdict: it raises
@@ -519,7 +507,7 @@ def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0) -> Pr
            NON_DECAY_FACTOR * profile.truncation_tol)
     conv: dict = {}
     record("convolution",
-           lambda: check_convolution(profile, J, grid=grid, detail=conv),
+           lambda: check_convolution(profile, J, grid0=grid0, detail=conv),
            TOL_CONVOLUTION, skip or (None if J >= 1 else _NO_COARSER_LEVEL),
            lambda: (f"Richardson step from levels {J - 1} and {J} with "
                     f"r = {conv['r']:.17g}; raw level-{J} rectangle-rule "

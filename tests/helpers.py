@@ -4,9 +4,10 @@ Everything here deliberately avoids the code paths under test: coefficients
 come from FFT sampling of closed-form expressions, spline values from their
 piecewise formulas, coset arithmetic from exact rationals, the cascade's
 scatter from one slice add per tap, the transition build from one pass per
-tap and the support mask from float points.  The Fourier-side checks are
-kept as they were written before they batched their spectral calls: one
-call per orbit point or per monomial.
+tap, the support mask from float points and the convolution check's
+rectangle sums from FFT autoconvolutions of the level-J grid.  The
+Fourier-side checks are kept as they were written before they batched their
+spectral calls: one call per orbit point or per monomial.
 """
 
 import functools
@@ -242,3 +243,66 @@ def float_inside(A, box, J):
         axis_shape = (1,) * i + (n,) + (1,) * (A.d - 1 - i) + (A.d,)
         x = x + ((lo + np.arange(n))[:, None] * a).reshape(axis_shape)
     return np.all((x >= box.lo - 1e-9) & (x <= box.hi + 1e-9), axis=-1)
+
+
+# The convolution check as written before it cascaded the level-0 defect:
+# rectangle sums of the level-J and level-(J - 1) samples of phi^m, each from
+# one FFT autoconvolution, against the cascade of phi^{2m}'s integer values.
+
+def smooth_size(n):
+    """Smallest 2^a 3^b 5^c >= n: a length numpy's FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())  # 2^a p35 >= n
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def fft_autoconvolve(a):
+    """Full linear convolution a * a, from one forward transform at the
+    smallest 5-smooth length per axis that holds the 2n - 1 outputs."""
+    shape = [2 * n - 1 for n in a.shape]
+    fshape = [smooth_size(s) for s in shape]
+    axes = list(range(a.ndim))
+    fa = np.fft.rfftn(a, fshape, axes=axes)
+    return np.fft.irfftn(fa * fa, fshape, axes=axes)[tuple(slice(s) for s in shape)]
+
+
+def rectangle_sums(g, idx):
+    """q^{-j} sum_k g[k] g[n - k] at the level-j index vectors n (rows of idx)."""
+    conv = fft_autoconvolve(g.data) * g.quadrature_weight
+    pos = idx - 2 * g.offset
+    ok = np.all((pos >= 0) & (pos < np.array(conv.shape)), axis=1)
+    out = np.zeros(len(idx))
+    out[ok] = conv[tuple(pos[ok].T)]
+    return out
+
+
+def convolution_by_fft(profile, J):
+    """properties.check_convolution from the level-J grid: (residual, raw)."""
+    A, m = profile.A, profile.m
+    g = cascade.sample_phi(A, *profile.refinement, J)
+    g2m = cascade.sample_phi_m(A, profile.m0, 2 * m, J - 1)
+    idx = g2m.index_points
+    fine = rectangle_sums(g, idx @ A.entries.T)
+    coarse = rectangle_sums(cascade.coarsen(g), idx)
+    r = float(profile.q) ** (2 * m / profile.d)
+    extrapolated = (r * fine - coarse) / (r - 1.0)
+    return (float(np.max(np.abs(extrapolated - g2m.values))),
+            float(np.max(np.abs(fine - g2m.values))))
+
+
+def convolution_matches_fft(profile, J):
+    """check_convolution's residual and raw deviation agree with
+    convolution_by_fft's within 1e-13 of the scale of g_0 * g_0, on which
+    both paths round (g_0 the integer values of phi^m)."""
+    g0 = cascade.integer_values(profile.A, *profile.refinement)
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(g0.data)))) ** 2
+    detail = {}
+    got = properties.check_convolution(profile, J, grid0=g0, detail=detail)
+    want, raw = convolution_by_fft(profile, J)
+    return abs(got - want) <= tol and abs(detail["raw"] - raw) <= tol

@@ -183,6 +183,23 @@ def test_transition_matrix_matches_tap_loop(name, m, block, profiles, monkeypatc
     assert np.array_equal(T.view(np.int64), T_ref.view(np.int64))
 
 
+def test_bordered_matrix_past_its_budget_is_a_config_error(profiles, monkeypatch):
+    # The budget sits one byte below A1's bordered phi^2 matrix, (n + 1)^2
+    # doubles: transition_matrix raises before allocating it, naming n and
+    # the bytes.  At the exact size it is built.
+    p = profiles("A1")
+    rc = _rc(p, 2)
+    box = cascade.support_box(p.A, rc)
+    n = len(cascade.transition_matrix(p.A, rc, box)[1])
+    monkeypatch.setattr(cascade, "MAX_TRANSITION_BYTES", 8 * (n + 1) ** 2 - 1)
+    with pytest.raises(ConfigError) as err:
+        cascade.integer_values(p.A, rc, box)
+    assert f"keeps n={n} points" in str(err.value)
+    assert f"needs {8 * (n + 1) ** 2} bytes" in str(err.value)
+    monkeypatch.setattr(cascade, "MAX_TRANSITION_BYTES", 8 * (n + 1) ** 2)
+    assert cascade.transition_matrix(p.A, rc, box)[0].shape == (n, n)
+
+
 def test_integer_values_match_eig_on_c3_order_two():
     p = spectral.make_profile(M3)
     rc = _rc(p, 2)

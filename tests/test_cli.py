@@ -204,6 +204,24 @@ def test_B_grid_past_the_cell_cap_is_a_config_error(capsys, tmp_path, monkeypatc
         assert not out.exists() or not any(out.iterdir())
 
 
+def test_bordered_matrix_past_its_budget_exits_2(capsys, monkeypatch):
+    # With the budget between the bordered matrices of A1's phi and phi^2,
+    # verify stops at the convolution check's phi^2 solve with exit 2.
+    p = spectral.make_profile([[1, -1], [1, 1]])
+    ns = []
+    for m in (1, 2):
+        rc = trigpoly.refinement_coefficients(p.m0 ** m, p.q)
+        ns.append(len(cascade.transition_matrix(p.A, rc, cascade.support_box(p.A, rc))[1]))
+    assert ns[0] < ns[1]
+    budget = 8 * (ns[1] + 1) ** 2 - 1
+    monkeypatch.setattr(cascade, "MAX_TRANSITION_BYTES", budget)
+    code = cli.main(["verify", "--matrix", "1,-1;1,1", "--J", "2", "--grid-n", "32"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == (f"config error: the transition matrix keeps n={ns[1]} points, so its "
+                   f"bordered matrix needs {budget + 1} bytes; at most {budget} are allowed\n")
+
+
 def test_mask_denominator_overflow_exit_2(capsys):
     # At 32I the product of the 1,023 values G(2 pi s) passes 1e308; with an
     # infinite denominator every coefficient would be dropped and the mask

@@ -12,6 +12,8 @@ import pytest
 
 from ellipsf import cascade, digits, properties, spectral, trigpoly
 
+import helpers
+
 ZOO = [
     [[0, -3], [1, 0]],     # det 3, complex eigenvalue pair
     [[1, -2], [1, 1]],     # det 3, trace 2
@@ -89,3 +91,12 @@ def test_partition_of_unity(zoo_profile):
 
 def test_fourier_refinement(zoo_profile):
     assert properties.check_fourier_refinement(zoo_profile, n_samples=40) < 1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("J", [1, 3])
+def test_convolution_matches_the_fft_rectangle_sums(zoo_profile, m, J):
+    # The cascaded level-0 defect against FFT rectangle sums of the level-J
+    # grid, on determinants 2 to 6 and their larger phi^{2m} boxes.
+    p = zoo_profile if m == 1 else spectral.make_profile(zoo_profile.A.entries, m=m)
+    assert helpers.convolution_matches_fft(p, J)

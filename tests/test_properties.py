@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_fft_autoconvolve_matches_the_direct_sum(shape):
     direct = np.zeros([2 * n - 1 for n in shape])
     for k in np.ndindex(*shape):
         direct[tuple(slice(i, i + n) for i, n in zip(k, shape))] += a[k] * a
-    got = properties._fft_autoconvolve(a)
+    got = helpers.fft_autoconvolve(a)
     assert got.shape == direct.shape
     assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(a)) ** 2
 
@@ -131,7 +132,7 @@ def test_smooth_size_is_the_next_5_smooth_number():
                 m //= p
         return m == 1
     for n in range(1, 2000):
-        got = properties._smooth_size(n)
+        got = helpers.smooth_size(n)
         assert got >= n and smooth(got)
         assert not any(smooth(m) for m in range(n, got))
 
@@ -140,10 +141,58 @@ def test_convolution_univariate_matches_cubic_bspline(profiles):
     # the discretized hat*hat against the closed-form cubic B-spline
     p = profiles("uni")
     g1 = cascade.sample_phi_m(p.A, p.m0, 1, 6)
-    conv = properties._fft_autoconvolve(g1.data) * g1.quadrature_weight
+    conv = helpers.fft_autoconvolve(g1.data) * g1.quadrature_weight
     offset = 2 * g1.offset[0]
     xs = (np.arange(conv.shape[0]) + offset) * 2.0 ** -6
     assert np.max(np.abs(conv - helpers.cubic_bspline(xs))) < 5e-4
+
+
+@pytest.mark.parametrize("name,m,J", [("uni", 1, 1), ("uni", 2, 3), ("A1", 1, 1),
+                                      ("A1", 2, 5), ("A2", 1, 5), ("A3", 2, 1),
+                                      ("A4", 1, 1), ("A4", 2, 5), ("C3", 1, 3)])
+def test_convolution_matches_the_fft_rectangle_sums(name, m, J, profiles):
+    # The cascaded level-0 defect against rectangle sums of the level-J grid.
+    # On A2 at m=1 the cascade of phi diverges and the residual is 0.396; on
+    # C3 at m=1 it is 5.43.  Both paths round on the scale of g_0 * g_0,
+    # whose entries reach 224 on A4 at m=1 (phi(0) = -13.4 there).
+    p = _fixture_profile(profiles, name, m)
+    assert helpers.convolution_matches_fft(p, J)
+
+
+@pytest.mark.parametrize("name", ["uni", "A1", "A4"])
+def test_rectangle_sums_are_the_phi_2m_cascade_of_the_integer_autoconvolution(name, profiles):
+    # The subdivision symbols multiply: q^{-J} (g_J * g_J) is the cascade of
+    # g_0 * g_0 with the coefficients of (m0^m)^2, on Z^d at every level.
+    J = 3
+    for m in (1, 2):
+        p = profiles(name, m)
+        rc, box = p.refinement
+        g0 = cascade.integer_values(p.A, rc, box)
+        rc2 = spectral.trigpoly.refinement_coefficients(p.m0 ** (2 * m), p.q)
+        box2 = cascade.SupportBox(2 * box.lo, 2 * box.hi)
+        E = cascade._empty_grid(p.A, box2, 0)
+        E.data[...] = helpers.fft_autoconvolve(g0.data)
+        for _ in range(J):
+            E = helpers.refine_by_taps(p.A, rc2, E)
+        gJ = cascade.sample_phi(p.A, rc, box, J)
+        conv = helpers.fft_autoconvolve(gJ.data) * gJ.quadrature_weight
+        assert np.array_equal(E.offset, 2 * gJ.offset) and E.data.shape == conv.shape
+        assert np.max(np.abs(E.data - conv)) <= 1e-13 * np.max(np.abs(conv))
+
+
+def test_convolution_peak_stays_below_the_level_j_transform(profiles):
+    # A4 at m=2, J=6: the FFT pair of the level-6 grid (769^2 values at
+    # 800^2 points) peaked at 105 MiB; the defect cascade's largest arrays
+    # are level-5 grids of phi^4, and it peaks at 27.7 MiB.
+    p = profiles("A4", 2)
+    grid0 = cascade.integer_values(p.A, *p.refinement)
+    tracemalloc.start()
+    try:
+        check_convolution(p, 6, grid0=grid0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 2 ** 20
 
 
 def test_convolution_residuals(profiles):
