@@ -2,9 +2,9 @@
 
 Subcommands: analyze | mask | spectrum | eval | verify | report.
 Exit codes: 0 pass, 1 property failure, 2 config error, 3 non-isotropic
-matrix, 4 mask pole at a digit point.  All outputs are deterministic for a
-fixed config, seed, numpy/BLAS build and BLAS thread count; files are
-written atomically.
+matrix, 4 mask pole at a digit point; an out-of-memory exits 2 too.  All
+outputs are deterministic for a fixed config, seed, numpy/BLAS build and
+BLAS thread count, at any CPU count; files are written atomically.
 """
 
 from __future__ import annotations
@@ -269,6 +269,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (SingularMatrix, NotExpanding, ValueError) as exc:
         print(f"invalid matrix: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -441,11 +441,12 @@ def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0) -> Pr
     B is the supremum of mu from spectral.estimate_B; the riesz_basis check
     compares it with the paper's threshold.  The cascade checks run at level
     J on phi^m from profile.refinement, the convolution check from its
-    integer values, and seed draws their sample points.
+    integer values, and seed draws their sample points.  A ConfigError or
+    MemoryError is raised, not filed as a check's verdict.
     """
     report = PropertyReport([[int(v) for v in row] for row in profile.A.entries], profile.m)
     # An oversize level is a bad request, not a property verdict: it raises
-    # ConfigError here, before any check runs.
+    # ConfigError here, before any check runs.  Nor is an out-of-memory one.
     grid = grid0 = grid_err = None
     try:
         rc, box = profile.refinement
@@ -453,7 +454,7 @@ def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0) -> Pr
         grid0 = grid = cascade.integer_values(profile.A, rc, box)
         for _ in range(J):
             grid = cascade.refine(profile.A, rc, grid)
-    except ConfigError:
+    except (ConfigError, MemoryError):
         raise
     except Exception as exc:
         grid_err = exc
@@ -466,8 +467,8 @@ def run_all(profile: SpectralProfile, B: float, J: int = 5, seed: int = 0) -> Pr
             return
         try:
             residual = fn()
-        except ConfigError:
-            raise  # e.g. a truncation depth past spectral.MAX_DEPTH
+        except (ConfigError, MemoryError):
+            raise  # a bad request (a depth past MAX_DEPTH) or no memory: no verdict
         except NonSimpleEigenvalue as exc:
             report.checks.append(CheckResult(
                 name, "skip", None, tolerance, f"NonSimpleEigenvalue: {exc}"))

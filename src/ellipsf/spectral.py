@@ -32,6 +32,13 @@ smallest depth that takes this below tol at its own eta.  The rows are
 ordered by depth once and each level multiplies in the factor for the rows
 still active, so a row's value does not depend on the rest of its batch.
 
+Threads: since a row's value does not depend on its batch, a large batch
+is cut into blocks of ROW_BLOCK rows, each ordered by depth on its own, and
+the blocks run on every CPU the process may use (numpy releases the GIL in
+the cos sums and products), with the bits of the serial pass.  A batch
+below 2 ROW_BLOCK rows, or a process with one CPU (e.g. under taskset -c 0),
+runs serially.  estimate_B's grid pass is serial.
+
 Singularities: mu, G/P and G4/P have removable 0/0 points on 2 pi Z^d (resp.
 at 0).  G is evaluated in its sin form, so the quotients stay exact next to
 them; below LIMIT_RADIUS, where the squares underflow, their limits (1, 1
@@ -43,6 +50,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,6 +76,9 @@ DEFAULT_TOL = 1e-9
 # Rows per block of estimate_B's grid pass: a block's integer phases, table
 # gathers and values are (rows,) arrays that stay near the CPU caches.
 GRID_BLOCK = 1 << 14
+# Rows per block of a threaded _closed_product.  Batches of fewer than two
+# blocks, or in a process with one CPU, run serially.
+ROW_BLOCK = 1 << 12
 # Halvings of estimate_B's zoom step, from one grid cell down to 2^-26 cells.
 ZOOM_ROUNDS = 27
 # Deepest truncation of the infinite products; a tolerance or point that needs
@@ -315,11 +327,34 @@ def _closed_product(profile: SpectralProfile, x: np.ndarray, tol: float | None,
     eta = B^{J+1} xi, for each row xi of x with its own depth J from
     _truncation_depth.
 
-    The rows are ordered deepest first once, so the rows still active at a
-    level are a prefix of the batch: each level evaluates factor on those
-    rows only, and a row leaves with its eta when its depth is reached.
+    The depths are taken for the whole batch first, so a depth past
+    MAX_DEPTH raises before any product.  A batch of at least 2 ROW_BLOCK
+    rows, in a process that may use more than one CPU, is cut into
+    ROW_BLOCK-row blocks that the calling thread and a pool of CPUs - 1
+    threads share (_run_blocks); each block is a _product_rows call that
+    writes its own rows of the output.  A row's value does not depend on
+    the rest of its batch, so the output has the same bits at any CPU count.
     """
     J = np.broadcast_to(_truncation_depth(profile, x, tol), (len(x),))
+    out = np.empty(len(x))
+    run = functools.partial(_product_rows, profile, x, J, out, factor, start, with_G_over_P)
+    cpus = _cpu_count()
+    if len(x) < 2 * ROW_BLOCK or cpus < 2:
+        run(slice(None))
+    else:
+        _run_blocks(run, len(x), cpus)
+    return out
+
+
+def _product_rows(profile: SpectralProfile, x: np.ndarray, J: np.ndarray, out: np.ndarray,
+                  factor, start: int, with_G_over_P: bool, rows: slice) -> None:
+    """_closed_product's value at x[rows], with the depths J[rows], into out[rows].
+
+    The rows are ordered deepest first once, so the rows still active at a
+    level are a prefix of the block: each level evaluates factor on those
+    rows only, and a row leaves with its eta when its depth is reached.
+    """
+    x, J = x[rows], J[rows]
     # Depths are at most MAX_DEPTH, so int16 keys sort by radix.
     order = np.argsort(-J.astype(np.int16), kind="stable")
     # active[j] rows have depth >= j, for j = 0 .. max depth + 1.
@@ -333,9 +368,63 @@ def _closed_product(profile: SpectralProfile, x: np.ndarray, tol: float | None,
         eta[done:n] = nxt[done:]
         cur = nxt
     prod *= _closure(profile, eta, with_G_over_P)
-    out = np.empty_like(prod)
-    out[order] = prod
-    return out
+    out[rows][order] = prod
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _executor(workers: int):
+    """The pool of `workers` threads, created on first use.
+
+    concurrent.futures is imported here, not at module level, so importing
+    the package starts no thread and does not pay for that import.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers, thread_name_prefix="ellipsf-rows")
+
+
+def _run_blocks(run, n_rows: int, cpus: int) -> None:
+    """run(rows) on each ROW_BLOCK-row block of range(n_rows), on cpus threads.
+
+    The calling thread and up to cpus - 1 pool threads take the blocks in
+    order from one shared iterator.  After a block raises no block is
+    started; every taker is waited for, then the error of the first failing
+    block is raised.  A block must submit no pool work of its own, or it
+    could wait on a pool thread that waits on it: so the split is made here,
+    never in _pointwise, whose mu is M_eval's level factor.
+    """
+    blocks = range(0, n_rows, ROW_BLOCK)
+    starts = iter(blocks)
+    take = threading.Lock()
+    errors = {}
+
+    def drain():
+        while not errors:
+            with take:
+                s = next(starts, None)
+            if s is None:
+                return
+            try:
+                run(slice(s, s + ROW_BLOCK))
+            except BaseException as exc:  # re-raised by the caller
+                errors[s] = exc
+
+    pool = _executor(cpus - 1)
+    helpers = [pool.submit(drain) for _ in range(min(cpus, len(blocks)) - 1)]
+    try:
+        drain()
+    finally:
+        for h in helpers:
+            h.result()
+    if errors:
+        raise errors[min(errors)]
 
 
 @_pointwise

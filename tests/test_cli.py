@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ellipsf import cascade, cli, digits, ioutils, matana, spectral, trigpoly
+from ellipsf import cascade, cli, digits, ioutils, matana, properties, spectral, trigpoly
 from ellipsf.errors import MaskPoleAtDigit
 
 import helpers
@@ -414,6 +414,20 @@ def test_verify_a2_fails(capsys):
     assert doc["passed"] is False
     riesz = [c for c in doc["checks"] if c["name"] == "riesz_basis"][0]
     assert riesz["status"] == "fail"
+
+
+def test_out_of_memory_in_a_check_exits_2_with_no_verdict(capsys, tmp_path, monkeypatch):
+    # An out-of-memory says nothing about the property: no verify.json is
+    # written and the exit code is a bad request's, not a failure's 1.
+    def exhausted(profile):
+        raise MemoryError("Unable to allocate 512. MiB")
+    monkeypatch.setattr(properties, "check_total_positivity", exhausted)
+    out = tmp_path / "verify"
+    code = cli.main(["verify", "--matrix", "2", "--J", "4", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "out of memory: Unable to allocate 512. MiB\n"
+    assert not (out / "verify.json").exists()
 
 
 def test_verify_seed_stable_byte_identical(capsys):

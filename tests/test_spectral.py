@@ -1,6 +1,12 @@
 import dataclasses
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -345,6 +351,150 @@ def test_row_values_do_not_depend_on_the_batch(name, m, any_profile):
             assert batch[r] == alone, (fn.__name__, r)
     for r in rows:
         assert spectral._truncation_depth(p, x[r:r + 1], None).tolist() == [depth[r]]
+
+
+BLOCK_SIZES = (1, 2 * spectral.ROW_BLOCK - 1, 2 * spectral.ROW_BLOCK, 5 * spectral.ROW_BLOCK + 17)
+
+
+def _count_block_runs(monkeypatch):
+    """Count _run_blocks calls, so a test can tell the threaded path ran."""
+    calls = []
+    real = spectral._run_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(spectral, "_run_blocks", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,m", [(name, m) for name in ("A1", "A4", "uni", "C3")
+                                    for m in (1, 2)])
+def test_rows_have_the_same_bits_at_any_cpu_count(name, m, any_profile, monkeypatch):
+    # Serial below 2 ROW_BLOCK rows or at one CPU, in blocks on a pool
+    # otherwise: every row keeps its bits.
+    p = any_profile(name, m)
+    x = np.random.default_rng(41).uniform(-4 * math.pi, 4 * math.pi,
+                                          size=(max(BLOCK_SIZES), p.d))
+    calls = _count_block_runs(monkeypatch)
+    for fn in (phi_hat, M_eval):
+        for n in BLOCK_SIZES:
+            monkeypatch.setattr(spectral, "_cpu_count", lambda: 1)
+            serial = fn(p, x[:n])
+            for cpus in (2, 3):
+                monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+                del calls[:]
+                got = fn(p, x[:n])
+                assert got.tobytes() == serial.tobytes(), (fn.__name__, n, cpus)
+                assert len(calls) == (n >= 2 * spectral.ROW_BLOCK), (fn.__name__, n, cpus)
+
+
+def test_depth_past_max_in_a_later_block_keeps_the_serial_message(profiles, monkeypatch):
+    # The depths are taken for the whole batch before any block runs.
+    p = profiles("A1")
+    x = np.random.default_rng(43).uniform(-4 * math.pi, 4 * math.pi,
+                                          size=(5 * spectral.ROW_BLOCK, 2))
+    x[2 * spectral.ROW_BLOCK + 5] = [1e60, 0.0]
+    messages = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        for fn in (phi_hat, M_eval):
+            with pytest.raises(ConfigError, match=r"truncation depth \d+ for tol 1e-09 exceeds") \
+                    as err:
+                fn(p, x)
+            messages.append(str(err.value))
+    assert len(set(messages)) == 1
+
+
+def test_an_error_in_a_block_reaches_the_caller_after_every_block_ends(profiles, monkeypatch):
+    p = profiles("A3")
+    x = np.random.default_rng(47).uniform(-4 * math.pi, 4 * math.pi,
+                                          size=(6 * spectral.ROW_BLOCK, 2))
+    monkeypatch.setattr(spectral, "_cpu_count", lambda: 3)
+    real = spectral._product_rows
+    lock, running, started = threading.Lock(), [0], []
+
+    def failing(*args):
+        rows = args[-1]
+        with lock:
+            running[0] += 1
+            started.append(rows.start)
+        try:
+            if rows.start == 2 * spectral.ROW_BLOCK:
+                raise RuntimeError("block 2")
+            time.sleep(0.05)
+            return real(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+    monkeypatch.setattr(spectral, "_product_rows", failing)
+    for fn in (phi_hat, M_eval):
+        del started[:]
+        with pytest.raises(RuntimeError, match="block 2"):
+            fn(p, x)
+        assert running[0] == 0, fn.__name__
+        assert 2 * spectral.ROW_BLOCK in started, fn.__name__
+
+
+def test_each_block_runs_once_under_fast_thread_switching(profiles, monkeypatch):
+    # More takers than CPUs and a thread switch every microsecond: a block
+    # taken twice or skipped would show in the count or in the bits.
+    p = profiles("A3")
+    x = np.random.default_rng(59).uniform(-4 * math.pi, 4 * math.pi, size=(3001, 2))
+    serial = phi_hat(p, x)
+    monkeypatch.setattr(spectral, "ROW_BLOCK", 16)
+    monkeypatch.setattr(spectral, "_cpu_count", lambda: 8)
+    real, lock, taken = spectral._product_rows, threading.Lock(), []
+
+    def counted(*args):
+        with lock:
+            taken.append(args[-1].start)
+        return real(*args)
+    monkeypatch.setattr(spectral, "_product_rows", counted)
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: result.append(phi_hat(p, x)), daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive(), "threaded phi_hat did not return"
+    assert sorted(taken) == list(range(0, len(x), 16))
+    assert result[0].tobytes() == serial.tobytes()
+
+
+def test_threaded_M_eval_does_not_deadlock(profiles, monkeypatch):
+    # M_eval's level factor is mu, itself a batch function: the blocks must
+    # not wait on pool work of their own.
+    p = profiles("A2")
+    x = np.random.default_rng(53).uniform(-4 * math.pi, 4 * math.pi,
+                                          size=(3 * spectral.ROW_BLOCK, 2))
+    monkeypatch.setattr(spectral, "_cpu_count", lambda: 3)
+    calls = _count_block_runs(monkeypatch)
+    result = []
+    worker = threading.Thread(target=lambda: result.append(M_eval(p, x)), daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "threaded M_eval did not return"
+    assert len(calls) == 1 and result[0].shape == (len(x),)
+
+
+def test_import_and_profile_start_no_thread():
+    # The pool and concurrent.futures wait for the first threaded call, so
+    # neither an import nor a small batch pays for them.
+    code = ("import sys, threading, numpy as np\n"
+            "import ellipsf\n"
+            "from ellipsf import spectral\n"
+            "p = spectral.make_profile([[1, -1], [1, 1]])\n"
+            "spectral.phi_hat(p, np.ones((100, 2)))\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n")
+    src = str(pathlib.Path(spectral.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False 1\n"
 
 
 @pytest.mark.parametrize("fn", [mu, M_eval, phi_hat], ids=["mu", "M_eval", "phi_hat"])
