@@ -32,12 +32,13 @@ smallest depth that takes this below tol at its own eta.  The rows are
 ordered by depth once and each level multiplies in the factor for the rows
 still active, so a row's value does not depend on the rest of its batch.
 
-Threads: since a row's value does not depend on its batch, a large batch
-is cut into blocks of ROW_BLOCK rows, each ordered by depth on its own, and
-the blocks run on every CPU the process may use (numpy releases the GIL in
-the cos sums and products), with the bits of the serial pass.  A batch
-below 2 ROW_BLOCK rows, or a process with one CPU (e.g. under taskset -c 0),
-runs serially.  estimate_B's grid pass is serial.
+Threads: since a row's value does not depend on its batch, every batch is
+cut into blocks of ROW_BLOCK rows, each ordered by depth on its own.  A
+batch of at least 2 ROW_BLOCK rows runs its blocks on every CPU the process
+may use (numpy releases the GIL in the cos sums and products); a smaller
+batch, or a process with one CPU (e.g. under taskset -c 0), runs them in
+turn on the calling thread.  The bits are the same either way.
+estimate_B's grid pass is serial.
 
 Singularities: mu, G/P and G4/P have removable 0/0 points on 2 pi Z^d (resp.
 at 0).  G is evaluated in its sin form, so the quotients stay exact next to
@@ -76,8 +77,8 @@ DEFAULT_TOL = 1e-9
 # Rows per block of estimate_B's grid pass: a block's integer phases, table
 # gathers and values are (rows,) arrays that stay near the CPU caches.
 GRID_BLOCK = 1 << 14
-# Rows per block of a threaded _closed_product.  Batches of fewer than two
-# blocks, or in a process with one CPU, run serially.
+# Rows per block of _closed_product.  Batches of fewer than two blocks' rows,
+# or in a process with one CPU, run their blocks on the calling thread only.
 ROW_BLOCK = 1 << 12
 # Halvings of estimate_B's zoom step, from one grid cell down to 2^-26 cells.
 ZOOM_ROUNDS = 27
@@ -328,21 +329,17 @@ def _closed_product(profile: SpectralProfile, x: np.ndarray, tol: float | None,
     _truncation_depth.
 
     The depths are taken for the whole batch first, so a depth past
-    MAX_DEPTH raises before any product.  A batch of at least 2 ROW_BLOCK
-    rows, in a process that may use more than one CPU, is cut into
-    ROW_BLOCK-row blocks that the calling thread and a pool of CPUs - 1
-    threads share (_run_blocks); each block is a _product_rows call that
-    writes its own rows of the output.  A row's value does not depend on
-    the rest of its batch, so the output has the same bits at any CPU count.
+    MAX_DEPTH raises before any product.  The batch is then cut into
+    ROW_BLOCK-row blocks (_run_blocks), each a _product_rows call that writes
+    its own rows of the output; on a batch of at least 2 ROW_BLOCK rows a
+    pool of CPUs - 1 threads takes blocks beside the calling thread.  A
+    row's value does not depend on the rest of its batch, so the output has
+    the same bits at any CPU count.
     """
     J = np.broadcast_to(_truncation_depth(profile, x, tol), (len(x),))
     out = np.empty(len(x))
-    run = functools.partial(_product_rows, profile, x, J, out, factor, start, with_G_over_P)
-    cpus = _cpu_count()
-    if len(x) < 2 * ROW_BLOCK or cpus < 2:
-        run(slice(None))
-    else:
-        _run_blocks(run, len(x), cpus)
+    _run_blocks(functools.partial(_product_rows, profile, x, J, out, factor, start,
+                                  with_G_over_P), len(x), _cpu_count())
     return out
 
 
@@ -391,10 +388,11 @@ def _executor(workers: int):
 
 
 def _run_blocks(run, n_rows: int, cpus: int) -> None:
-    """run(rows) on each ROW_BLOCK-row block of range(n_rows), on cpus threads.
+    """run(rows) on each ROW_BLOCK-row block of range(n_rows), on up to cpus threads.
 
-    The calling thread and up to cpus - 1 pool threads take the blocks in
-    order from one shared iterator.  After a block raises no block is
+    The calling thread takes the blocks in order from one shared iterator;
+    on at least 2 ROW_BLOCK rows, up to cpus - 1 pool threads take from it
+    too, and only then is the pool created.  After a block raises no block is
     started; every taker is waited for, then the error of the first failing
     block is raised.  A block must submit no pool work of its own, or it
     could wait on a pool thread that waits on it: so the split is made here,
@@ -416,8 +414,10 @@ def _run_blocks(run, n_rows: int, cpus: int) -> None:
             except BaseException as exc:  # re-raised by the caller
                 errors[s] = exc
 
-    pool = _executor(cpus - 1)
-    helpers = [pool.submit(drain) for _ in range(min(cpus, len(blocks)) - 1)]
+    helpers = []
+    if n_rows >= 2 * ROW_BLOCK and cpus > 1:
+        pool = _executor(cpus - 1)
+        helpers = [pool.submit(drain) for _ in range(min(cpus, len(blocks)) - 1)]
     try:
         drain()
     finally:

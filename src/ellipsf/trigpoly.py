@@ -141,13 +141,19 @@ class TrigPoly:
         return H, alpha.real, beta.imag if has_sin else None
 
     def eval_real(self, xi):
-        """Real part of eval, from the folded cosine (and, if any, sine) sum."""
+        """Real part of eval, from the folded cosine (and, if any, sine) sum.
+
+        The cosines overwrite the phases, so an even polynomial's call holds
+        one (rows, terms) matrix, not two (a pool thread's malloc arena keeps
+        that peak).
+        """
         H, a, b = self.real_terms
         x = np.asarray(xi, dtype=float)
         ph = np.atleast_2d(x) @ H.T
-        vals = np.einsum("ij,j->i", np.cos(ph), a)
-        if b is not None:
-            vals += np.einsum("ij,j->i", np.sin(ph), b)
+        odd = None if b is None else np.einsum("ij,j->i", np.sin(ph), b)
+        vals = np.einsum("ij,j->i", np.cos(ph, out=ph), a)
+        if odd is not None:
+            vals += odd
         return float(vals[0]) if x.ndim == 1 else vals
 
     def quartic_form(self, xi) -> np.ndarray:

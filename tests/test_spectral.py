@@ -356,31 +356,33 @@ def test_row_values_do_not_depend_on_the_batch(name, m, any_profile):
 BLOCK_SIZES = (1, 2 * spectral.ROW_BLOCK - 1, 2 * spectral.ROW_BLOCK, 5 * spectral.ROW_BLOCK + 17)
 
 
-def _count_block_runs(monkeypatch):
-    """Count _run_blocks calls, so a test can tell the threaded path ran."""
+def _count_pool_uses(monkeypatch):
+    """Count _executor calls, so a test can tell that pool threads took blocks."""
     calls = []
-    real = spectral._run_blocks
+    real = spectral._executor
 
     def counted(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(spectral, "_run_blocks", counted)
+    monkeypatch.setattr(spectral, "_executor", counted)
     return calls
 
 
 @pytest.mark.parametrize("name,m", [(name, m) for name in ("A1", "A4", "uni", "C3")
                                     for m in (1, 2)])
 def test_rows_have_the_same_bits_at_any_cpu_count(name, m, any_profile, monkeypatch):
-    # Serial below 2 ROW_BLOCK rows or at one CPU, in blocks on a pool
-    # otherwise: every row keeps its bits.
+    # Blocks on the calling thread only below 2 ROW_BLOCK rows or at one
+    # CPU, on a pool too otherwise: every row keeps its bits.
     p = any_profile(name, m)
     x = np.random.default_rng(41).uniform(-4 * math.pi, 4 * math.pi,
                                           size=(max(BLOCK_SIZES), p.d))
-    calls = _count_block_runs(monkeypatch)
+    calls = _count_pool_uses(monkeypatch)
     for fn in (phi_hat, M_eval):
         for n in BLOCK_SIZES:
             monkeypatch.setattr(spectral, "_cpu_count", lambda: 1)
+            del calls[:]
             serial = fn(p, x[:n])
+            assert not calls, (fn.__name__, n)
             for cpus in (2, 3):
                 monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
                 del calls[:]
@@ -472,7 +474,7 @@ def test_threaded_M_eval_does_not_deadlock(profiles, monkeypatch):
     x = np.random.default_rng(53).uniform(-4 * math.pi, 4 * math.pi,
                                           size=(3 * spectral.ROW_BLOCK, 2))
     monkeypatch.setattr(spectral, "_cpu_count", lambda: 3)
-    calls = _count_block_runs(monkeypatch)
+    calls = _count_pool_uses(monkeypatch)
     result = []
     worker = threading.Thread(target=lambda: result.append(M_eval(p, x)), daemon=True)
     worker.start()
