@@ -30,7 +30,7 @@ import numpy as np
 from .digits import int_adjugate
 from .errors import ConfigError, NoConvergence, NonSimpleEigenvalue, NumericalBreakdown
 from .matana import DilationMatrix, int_det
-from .trigpoly import RefinementCoefficients, TrigPoly, refinement_coefficients
+from .trigpoly import RefinementCoefficients
 
 # Eigenvalue 1 counts as simple while the bordered matrix M stays 1/_EIG_TOL
 # away from singular: a lower bound on the 2-norm of M^{-1}, from fixed
@@ -475,11 +475,3 @@ def sample_phi(A: DilationMatrix, rc: RefinementCoefficients, box: SupportBox, J
     for _ in range(J):
         grid = refine(A, rc, grid)
     return grid
-
-
-def sample_phi_m(A: DilationMatrix, m0: TrigPoly, m: int, J: int) -> LatticeGrid:
-    """Cascade phi^m to level J from (m0)^m; an oversize level raises ConfigError first."""
-    if m < 1 or J < 0:
-        raise ValueError("need m >= 1 and J >= 0")
-    rc = refinement_coefficients(m0 ** m, A.q)
-    return sample_phi(A, rc, support_box(A, rc), J)

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from . import cascade, digits, operators, spectral
+from . import cascade, digits, operators, spectral, trigpoly
 from .cascade import LatticeGrid, SupportBox
 from .errors import ConfigError, DegreeTooHigh, NonSimpleEigenvalue
 from .spectral import SpectralProfile
@@ -258,7 +258,8 @@ def check_convolution(profile: SpectralProfile, J: int, grid0: LatticeGrid | Non
         raise ValueError(f"grid0 is at level {grid0.J}, not 0")
     A, m = profile.A, profile.m
     g0 = grid0 if grid0 is not None else cascade.integer_values(A, *profile.refinement)
-    rc2 = refinement_coefficients(profile.m0 ** (2 * m), profile.q)
+    m2 = trigpoly.build_mask(A, profile.G, profile.digits_AT, 2 * m)
+    rc2 = refinement_coefficients(m2, profile.q)
     box2 = cascade.support_box(A, rc2)
     lo, shape = cascade.grid_bounds(A, box2, J - 1)  # an oversize level fails before the solve
     phi2 = cascade.integer_values(A, rc2, box2)

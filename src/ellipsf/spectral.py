@@ -119,7 +119,9 @@ class SpectralProfile:
     @functools.cached_property
     def mask(self) -> TrigPoly:
         """The order-m mask m0^m of phi^m."""
-        return self.m0 ** self.m
+        if self.m == 1:
+            return self.m0
+        return trigpoly.build_mask(self.A, self.G, self.digits_AT, self.m)
 
     @functools.cached_property
     def refinement(self) -> tuple[RefinementCoefficients, cascade.SupportBox]:
@@ -507,22 +509,6 @@ def _tabulate(fill, start: int, size: int) -> np.ndarray:
     return out
 
 
-def _G_sin_form(Q2: np.ndarray, s2: list, sx: list) -> np.ndarray:
-    """G's sin form from the columns s2[i] = sin^2(xi_i / 2) and sx[i] = sin xi_i.
-
-    The columns are arrays that broadcast together; sx is read only where
-    Q2 has a nonzero off-diagonal entry, as in trigpoly.eval_G_stable.
-    """
-    out = 4.0 * Q2[0, 0] * s2[0]
-    for i in range(1, len(s2)):
-        out = out + 4.0 * Q2[i, i] * s2[i]
-    for i in range(len(s2)):
-        for j in range(i + 1, len(s2)):
-            if Q2[i, j] != 0:
-                out = out + 2.0 * Q2[i, j] * sx[i] * sx[j]
-    return out
-
-
 def _grid_row(index: int, grid_n: int, d: int) -> np.ndarray:
     """Row `index` (C order) of the grid: the doubles nearest pi (2 i - grid_n) / grid_n."""
     return np.array([float(_PI * Fraction(2 * int(i) - grid_n, grid_n))
@@ -567,8 +553,8 @@ def _mu_grid(profile: SpectralProfile, grid_n: int):
     u_start, u_size, u_wrap = _phase_span(W, N, L)
     S2 = _tabulate(lambda p: _turn_sines(p, 2 * L, square=True), u_start, u_size)
     S1 = _tabulate(lambda p: _turn_sines(p, L), u_start, u_size) if cross else None
-    # m0(B eta): cos(2 pi h . u / L) over the nonzero folded h.  The mask is
-    # realified, so it is a cosine sum (real_terms gives no sine part).
+    # m0(B eta): cos(2 pi h . u / L) over the nonzero folded h.  The mask's
+    # coefficients are real, so it is a cosine sum (real_terms gives no sine part).
     H, a, _ = profile.m0.real_terms
     forms = H @ W
     live = forms.any(axis=1)
@@ -603,10 +589,11 @@ def _mu_grid(profile: SpectralProfile, grid_n: int):
         for j0 in range(0, N, GRID_BLOCK):
             j = slice(j0, min(j0 + GRID_BLOCK, N))  # the block's last-axis indices
             u = index(W, u_start, u_wrap)
-            num = _G_sin_form(Q2, S2.take(u), S1.take(u) if cross else [])
+            num = trigpoly.sin_form(Q2, S2.take(u), S1.take(u) if cross else [])
             m0 = mask_sum(0, len(forms)) + const
-            den = _G_sin_form(Q2, [s2_axis[i] for i in lines] + [s2_axis[j]],
-                              [sx_axis[i] for i in lines] + [sx_axis[j]] if cross else []).ravel()
+            den = trigpoly.sin_form(
+                Q2, [s2_axis[i] for i in lines] + [s2_axis[j]],
+                [sx_axis[i] for i in lines] + [sx_axis[j]] if cross else []).ravel()
             start = o0 * N + j0
             at_origin = 0 <= origin - start < len(den)
             if at_origin:

@@ -3,17 +3,21 @@
 A TrigPoly is a finite map from integer frequency vectors k to complex
 coefficients, representing p(xi) = sum_k c_k exp(-i k . xi).  Frequencies are
 exact integers; only coefficient values are floating point.  This module
-builds the nonnegative polynomial G from a quadratic form, the mask m0 as the
-digit-shifted product of G, and the refinement coefficients of the scaling
-relation phi(x) = sum_k c_k phi(A x - k).
+builds the nonnegative polynomial G from a quadratic form, the mask m0 and its
+order-n powers m0^n, and the refinement coefficients of the scaling relation
+phi(x) = sum_k c_k phi(A x - k).
+
+The mask is never expanded as a product of polynomials: build_mask samples
+m0^n, the digit-shifted product of values of G, on a grid that holds all its
+frequencies, and reads the coefficients off one inverse FFT.  One rule drops
+negligible coefficients, there and in products: a term at or below
+_PRUNE_REL = 1e-14 of the largest is dropped.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
@@ -21,38 +25,23 @@ from types import MappingProxyType
 import numpy as np
 
 from .digits import DigitSet
-from .errors import MaskPoleAtDigit, NotPositiveDefinite, NumericalBreakdown
+from .errors import ConfigError, MaskPoleAtDigit, NotPositiveDefinite, NumericalBreakdown
 from .matana import DilationMatrix, QuadraticForm
 
 _PRUNE_REL = 1e-14
 REALNESS_TOL = 1e-12
+# Sample rows per block of build_mask: a block's phases are (rows, terms of G).
+_SAMPLE_BLOCK = 1 << 16
 
 
 def _negate(k: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-v for v in k)
 
 
-def _turns(s, d: int) -> tuple[tuple[int, ...], int]:
-    """(n, D) with s = n / D exactly: D the common denominator of rational s (length d)."""
-    if len(s) != d:
-        raise ValueError(f"rational argument has wrong dimension {len(s)}, expected {d}")
-    s = [Fraction(c) for c in s]
-    D = math.lcm(*(c.denominator for c in s))
-    return tuple(c.numerator * (D // c.denominator) for c in s), D
-
-
-def _phase(num: int, den: int) -> complex:
-    """exp(-2 pi i num/den), exact for the dyadic values 0, 1/2, 1/4, 3/4."""
-    r = num % den
-    if r == 0:
-        return 1.0 + 0.0j
-    if 2 * r == den:
-        return -1.0 + 0.0j
-    if 4 * r == den:
-        return -1.0j
-    if 4 * r == 3 * den:
-        return 1.0j
-    return cmath.exp(-2j * math.pi * (r / den))
+def _significant(c: np.ndarray) -> np.ndarray:
+    """Where |c| is above _PRUNE_REL times its largest entry."""
+    a = np.abs(c)
+    return a > _PRUNE_REL * a.max()
 
 
 class TrigPoly:
@@ -168,26 +157,6 @@ class TrigPoly:
         y *= y
         return np.einsum("ij,j->i", y, alpha.real)
 
-    def eval_at_two_pi(self, s) -> complex:
-        """Evaluate at xi = 2 pi s for exact rational s, with compensated sums.
-
-        Phases e^{-2 pi i k.s} are exact for dyadic k.s, so digit products
-        with determinant a power of two come out bit-exact.
-        """
-        n, D = _turns(s, self.d)
-        re, im = [], []
-        for k, c in self.coeffs.items():
-            z = c * _phase(sum(ki * ni for ki, ni in zip(k, n)), D)
-            re.append(z.real)
-            im.append(z.imag)
-        return complex(math.fsum(re), math.fsum(im))
-
-    def shift_argument(self, t) -> "TrigPoly":
-        """Realize xi -> xi + 2 pi t exactly for rational t: c_k *= e^{-2 pi i k.t}."""
-        n, D = _turns(t, self.d)
-        return TrigPoly(self.d, {k: c * _phase(sum(ki * ni for ki, ni in zip(k, n)), D)
-                                 for k, c in self.coeffs.items()})
-
     def transform_frequencies(self, M) -> "TrigPoly":
         """Map k -> M k on frequencies; the result evaluates to p(M^T xi)."""
         out = {}
@@ -242,8 +211,8 @@ class TrigPoly:
         """Copy without the terms at or below _PRUNE_REL of the largest."""
         if not self.coeffs:
             return self
-        cut = _PRUNE_REL * max(abs(c) for c in self.coeffs.values())
-        return TrigPoly(self.d, {k: c for k, c in self.coeffs.items() if abs(c) > cut})
+        keep = _significant(np.array(list(self.coeffs.values())))
+        return TrigPoly(self.d, {k: c for (k, c), ok in zip(self.coeffs.items(), keep) if ok})
 
     @property
     def is_real(self) -> bool:
@@ -254,15 +223,8 @@ class TrigPoly:
                 return False
         return True
 
-    def realify(self) -> "TrigPoly":
-        """Drop imaginary coefficient parts below REALNESS_TOL (absolute); fail otherwise."""
-        worst = max((abs(c.imag) for c in self.coeffs.values()), default=0.0)
-        if worst > REALNESS_TOL:
-            raise NumericalBreakdown(f"imaginary residue {worst:.3e} above {REALNESS_TOL:.1e}")
-        return TrigPoly(self.d, {k: complex(c.real, 0.0) for k, c in self.coeffs.items()})
-
     def real_coeffs(self) -> dict[tuple[int, ...], float]:
-        return {k: c.real for k, c in self.realify().coeffs.items()}
+        return {k: c.real for k, c in self.coeffs.items()}
 
 
 def build_G(qf: QuadraticForm) -> TrigPoly:
@@ -301,47 +263,95 @@ def build_G(qf: QuadraticForm) -> TrigPoly:
     return TrigPoly(d, coeffs)
 
 
+def sin_form(Q2: np.ndarray, s2: list, sx: list) -> np.ndarray:
+    """G's sin form from the columns s2[i] = sin^2(xi_i / 2) and sx[i] = sin xi_i:
+    4 sum_i q_ii s2[i] + 2 sum_{i<j} q_ij sx[i] sx[j].
+
+    The columns are arrays that broadcast together; sx is read only where
+    Q2 has a nonzero off-diagonal entry.
+    """
+    out = 4.0 * Q2[0, 0] * s2[0]
+    for i in range(1, len(s2)):
+        out = out + 4.0 * Q2[i, i] * s2[i]
+    for i in range(len(s2)):
+        for j in range(i + 1, len(s2)):
+            if Q2[i, j] != 0:
+                out = out + 2.0 * Q2[i, j] * sx[i] * sx[j]
+    return out
+
+
 def eval_G_stable(qf: QuadraticForm, xi):
     """Evaluate G in its sin form; no cancellation even next to 2 pi Z^d."""
     x = np.asarray(xi, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    Q2 = qf.Q2
-    out = 4.0 * np.einsum("ij,j->i", np.sin(0.5 * x) ** 2, np.diag(Q2))
-    sx = np.sin(x) if qf.d > 1 else None
-    for i in range(qf.d):
-        for j in range(i + 1, qf.d):
-            if Q2[i, j] != 0:
-                out = out + 2.0 * Q2[i, j] * sx[:, i] * sx[:, j]
-    return float(out[0]) if single else out
+    cols = np.atleast_2d(x).T
+    out = sin_form(qf.Q2, np.sin(0.5 * cols) ** 2, np.sin(cols) if qf.d > 1 else [])
+    return float(out[0]) if x.ndim == 1 else out
 
 
-def build_mask(A: DilationMatrix, G: TrigPoly, ds: DigitSet) -> TrigPoly:
-    """Mask m0(xi) = prod_{s in S(A^T)\\{0}} G(xi + 2 pi s) / G(2 pi s).
+def build_mask(A: DilationMatrix, G: TrigPoly, ds: DigitSet, n: int = 1) -> TrigPoly:
+    """The order-n mask m0^n, m0(xi) = prod_{s in S(A^T)\\{0}} G(xi + 2 pi s) / G(2 pi s).
 
-    `ds` must be the digit set of A^T.  Raises MaskPoleAtDigit when some
-    G(2 pi s) vanishes, in which case the construction is undefined, and
-    NumericalBreakdown when their product overflows or underflows (at 32I,
-    1,023 factors); it is formed before any numerator product.
+    `ds` must be the digit set of A^T.  Raises ConfigError when the sample
+    grid below has more than cascade.MAX_GRID_CELLS points, MaskPoleAtDigit
+    when some G(2 pi s) vanishes, in which case the construction is
+    undefined, and NumericalBreakdown when their product overflows or
+    underflows (at 32I, 1,023 factors); all before any sample.  The grid is
+    checked first, so every integer phase below fits in int64.
+
+    With reach(G) the largest |k_i| over G's frequencies, m0^n has its
+    frequencies in the cube |k_i| <= R = n (q - 1) reach(G), so
+    its values at xi = 2 pi j / N, N = 2 R + 1 per axis, determine it, and
+    one inverse FFT of them gives its coefficients.  A value is a product of
+    ratios G(xi + 2 pi s) / G(2 pi s) >= 0, so nothing cancels in it; each G
+    is its cosine sum at the point reduced to [-pi, pi)^d exactly (q s is an
+    integer vector, so xi + 2 pi s = 2 pi u / (q N) for integers u).  The
+    real parts are kept, the terms at or below _PRUNE_REL of the largest are
+    dropped, and the rest enter in lexicographic order of k.  The samples
+    and their transform peak near 40 bytes a point, 0.7 GB at the cap.
     """
+    from . import cascade  # cascade imports this module, so not at the top
+
     expected = tuple(tuple(int(v) for v in row) for row in A.entries.T)
     if ds.matrix != expected:
         raise ValueError("digit set does not belong to A^T")
+    if n < 1:
+        raise ValueError("mask order n must be >= 1")
     shifts = ds.nonzero_S()
-    den = 1.0
+    N = 2 * n * len(shifts) * int(np.abs(G.K).max()) + 1
+    cells = N ** G.d
+    if cells > cascade.MAX_GRID_CELLS:
+        raise ConfigError(f"the order-{n} mask needs a sample grid of {N}^{G.d} = {cells} "
+                          f"points; at most {cascade.MAX_GRID_CELLS} are allowed")
+    L = N * ds.q
+    turns = N * np.array([[int(c * ds.q) for c in s] for s in shifts], dtype=np.int64)
+
+    def G_at(u):
+        """G(2 pi u / L) at the integer rows u, each reduced to [-L/2, L/2)."""
+        u = u % L
+        return G.eval_real((2.0 * math.pi / L) * np.where(2 * u >= L, u - L, u))
+
+    values = G_at(turns).tolist()
     scale = max(abs(c) for c in G.coeffs.values())
-    for s in shifts:
-        g = G.eval_at_two_pi(s)
+    for s, g in zip(shifts, values):
         if abs(g) <= 1e-12 * scale:
             raise MaskPoleAtDigit(f"G(2 pi {tuple(map(str, s))}) = {g:.3e}")
-        den *= g.real if abs(g.imag) <= 1e-12 * abs(g) else g
-    if den == 0 or not cmath.isfinite(den):
+    den = math.prod(values)
+    if den == 0 or not math.isfinite(den):
         raise NumericalBreakdown(f"the product of the {len(shifts)} values G(2 pi s) is {den}")
-    num = TrigPoly.constant(G.d)
-    for s in shifts:
-        num = num * G.shift_argument(s)
-    mask = num * (1.0 / den)
-    return mask.realify()
+    samples = np.ones(cells)
+    for lo in range(0, cells, _SAMPLE_BLOCK):
+        rows = samples[lo:lo + _SAMPLE_BLOCK]
+        j = ds.q * np.stack(np.unravel_index(np.arange(lo, lo + len(rows)), (N,) * G.d), axis=1)
+        for t, g in zip(turns, values):
+            rows *= G_at(j + t) / g
+    samples **= n
+    # Unscaled, then divided by N^d: the scaled transform multiplies each
+    # axis by a rounded 1/N, which moved 1-D coefficients at q = 3 by an ulp.
+    c = np.fft.fftshift(np.fft.ifftn(samples.reshape((N,) * G.d), norm="forward").real)
+    c /= cells
+    keep = _significant(c)
+    k = np.argwhere(keep) - N // 2
+    return TrigPoly(G.d, dict(zip(map(tuple, k.tolist()), c[keep].tolist())))
 
 
 @dataclass(frozen=True)

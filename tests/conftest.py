@@ -34,7 +34,7 @@ def grids(profiles):
         key = (name, m, J)
         if key not in _grid_cache:
             p = profiles(name, m)
-            _grid_cache[key] = cascade.sample_phi_m(p.A, p.m0, m, J)
+            _grid_cache[key] = cascade.sample_phi(p.A, *p.refinement, J)
         return _grid_cache[key]
     return get
 

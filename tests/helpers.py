@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here deliberately avoids the code paths under test: coefficients
-come from FFT sampling of closed-form expressions, spline values from their
+come from FFT sampling of closed-form expressions, masks also from the
+expanded product of exactly shifted copies of G, spline values from their
 piecewise formulas, coset arithmetic from exact rationals, the cascade's
 scatter from one slice add per tap, the transition build from one pass per
 tap, the support mask from float points and the convolution check's
@@ -10,14 +11,17 @@ Fourier-side checks are kept as they were written before they batched their
 spectral calls: one call per orbit point or per monomial.
 """
 
+import cmath
 import functools
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from ellipsf import cascade, properties, spectral
-from ellipsf.trigpoly import TrigPoly
+from ellipsf.errors import NumericalBreakdown
+from ellipsf.trigpoly import REALNESS_TOL, TrigPoly
 
 
 def fft_coeffs(func, d, N=16, tol=1e-13):
@@ -65,6 +69,67 @@ def sinc_squared(xi):
     nz = xi != 0
     out[nz] = np.sin(xi[nz] / 2) ** 2 / (xi[nz] / 2) ** 2
     return out
+
+
+# The mask as it was built before it was sampled: the product of q - 1 copies
+# of G, each shifted by 2 pi s with exact phases, expanded as coefficient
+# maps, and its n-th power taken the same way.  Past q = 25 the cancellation
+# in the expanded complex product loses the mask (imaginary residue 1.0e-11
+# at 6I), so it serves as the reference on the fixtures only.
+
+def _turns(s, d):
+    """(n, D) with s = n / D exactly: D the common denominator of rational s (length d)."""
+    if len(s) != d:
+        raise ValueError(f"rational argument has wrong dimension {len(s)}, expected {d}")
+    s = [Fraction(c) for c in s]
+    D = math.lcm(*(c.denominator for c in s))
+    return tuple(c.numerator * (D // c.denominator) for c in s), D
+
+
+def _phase(num, den):
+    """exp(-2 pi i num/den), exact for the dyadic values 0, 1/2, 1/4, 3/4."""
+    r = num % den
+    if r == 0:
+        return 1.0 + 0.0j
+    if 2 * r == den:
+        return -1.0 + 0.0j
+    if 4 * r == den:
+        return -1.0j
+    if 4 * r == 3 * den:
+        return 1.0j
+    return cmath.exp(-2j * math.pi * (r / den))
+
+
+def eval_at_two_pi(p, s):
+    """p(2 pi s) for exact rational s, with compensated sums."""
+    n, D = _turns(s, p.d)
+    terms = [c * _phase(sum(ki * ni for ki, ni in zip(k, n)), D) for k, c in p.coeffs.items()]
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+def shift_argument(p, t):
+    """p(xi + 2 pi t) for exact rational t: c_k *= e^{-2 pi i k.t}."""
+    n, D = _turns(t, p.d)
+    return TrigPoly(p.d, {k: c * _phase(sum(ki * ni for ki, ni in zip(k, n)), D)
+                          for k, c in p.coeffs.items()})
+
+
+def realify(p):
+    """p with its imaginary coefficient parts dropped; they must be below REALNESS_TOL."""
+    worst = max((abs(c.imag) for c in p.coeffs.values()), default=0.0)
+    if worst > REALNESS_TOL:
+        raise NumericalBreakdown(f"imaginary residue {worst:.3e} above {REALNESS_TOL:.1e}")
+    return TrigPoly(p.d, {k: c.real for k, c in p.coeffs.items()})
+
+
+def dict_product_mask(A, G, ds, n=1):
+    """m0^n from the expanded product of shifted copies of G, as coefficient maps."""
+    shifts = ds.nonzero_S()
+    den = math.prod(eval_at_two_pi(G, s).real for s in shifts)
+    num = TrigPoly.constant(G.d)
+    for s in shifts:
+        num = num * shift_argument(G, s)
+    return realify(num * (1.0 / den)) ** n
 
 
 # Closed forms of the worked masks, written exactly as displayed in the
@@ -189,10 +254,11 @@ def strang_fix_by_monomials(profile):
 
 
 def mask_is_interpolating_by_shifts(profile):
-    """sum_s m0(xi + 2 pi s) over the digits of A^T, summed as TrigPolys, is 1."""
-    total = sum((profile.m0.shift_argument(s) for s in profile.digits_AT.S), TrigPoly(profile.d))
-    zero = (0,) * profile.d
-    return all(abs(c - (k == zero)) <= 1e-12 for k, c in {zero: 0.0, **total.coeffs}.items())
+    """sum_s m0(xi + 2 pi s) over the digits of A^T is 1 at 16 seeded points."""
+    xi = np.random.default_rng(11).uniform(-math.pi, math.pi, size=(16, profile.d))
+    S = 2 * math.pi * np.array(profile.digits_AT.S, dtype=float)
+    total = sum(profile.m0.eval_real(xi + s) for s in S)
+    return bool(np.max(np.abs(total - 1.0)) <= 1e-12)
 
 
 # The transition build as it was written before it took blocks of taps: one
@@ -286,7 +352,7 @@ def convolution_by_fft(profile, J):
     """properties.check_convolution from the level-J grid: (residual, raw)."""
     A, m = profile.A, profile.m
     g = cascade.sample_phi(A, *profile.refinement, J)
-    g2m = cascade.sample_phi_m(A, profile.m0, 2 * m, J - 1)
+    g2m = cascade.sample_phi(A, *spectral.make_profile(A, 2 * m).refinement, J - 1)
     idx = g2m.index_points
     fine = rectangle_sums(g, idx @ A.entries.T)
     coarse = rectangle_sums(cascade.coarsen(g), idx)

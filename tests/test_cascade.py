@@ -273,7 +273,8 @@ def test_refine_matches_tap_by_tap_reference(name, m, J, profiles):
 def test_sample_phi_from_the_profile_refinement(profiles):
     p = profiles("A3", 2)
     g = cascade.sample_phi(p.A, *p.refinement, 4)
-    assert helpers.same_grid(g, cascade.sample_phi_m(p.A, p.m0, 2, 4))
+    rc = refinement_coefficients(trigpoly.build_mask(p.A, p.G, p.digits_AT, 2), p.q)
+    assert helpers.same_grid(g, cascade.sample_phi(p.A, rc, cascade.support_box(p.A, rc), 4))
     with pytest.raises(ValueError):
         cascade.sample_phi(p.A, *p.refinement, -1)
 
@@ -292,7 +293,7 @@ def test_sample_phi_m_cubic_bspline(grids):
 
 def test_sample_phi_m_level0_consistency(profiles):
     p = profiles("A3")
-    g0 = cascade.sample_phi_m(p.A, p.m0, 1, 0)
+    g0 = cascade.sample_phi(p.A, *p.refinement, 0)
     gi = cascade.integer_values(p.A, _rc(p))
     assert np.max(np.abs(g0.values - gi.values)) == 0.0
 
@@ -300,9 +301,9 @@ def test_sample_phi_m_level0_consistency(profiles):
 def test_sample_phi_m_validates_args(profiles):
     p = profiles("uni")
     with pytest.raises(ValueError):
-        cascade.sample_phi_m(p.A, p.m0, 0, 3)
+        spectral.make_profile(MATRICES["uni"], m=0)
     with pytest.raises(ValueError):
-        cascade.sample_phi_m(p.A, p.m0, 1, -1)
+        cascade.sample_phi(p.A, *p.refinement, -1)
 
 
 def test_quincunx_nonnegative_on_lattice(grids):
@@ -343,7 +344,7 @@ def test_lookup_outside_box_is_zero(grids):
 def test_shifts_match_one_lookup_per_shift(name, m, J, grids):
     if name == "C3":
         p = spectral.make_profile(M3)
-        g = cascade.sample_phi_m(p.A, p.m0, m, J)
+        g = cascade.sample_phi(p.A, *p.refinement, J)
     else:
         g = grids(name, m, J)
     d = g.A.d
@@ -388,7 +389,7 @@ def test_query_flags_no_in_box_lattice_point():
     # A^J x rounds to either side of an integer coordinate by coordinate;
     # each in-box point must still read back its stored value, unflagged.
     p = spectral.make_profile([[1, -2], [1, 0]])
-    g = cascade.sample_phi_m(p.A, p.m0, 1, 6)
+    g = cascade.sample_phi(p.A, *p.refinement, 6)
     x = g.cartesian_points()
     assert len(x) == 3093
     for xi, v in zip(x, g.values):
@@ -426,7 +427,7 @@ def test_grid_bounds_count_cells_within_budget(matrix, m, J, cells):
 def test_grid_bounds_match_built_grid(profiles):
     p = profiles("A3")
     box = cascade.support_box(p.A, _rc(p))
-    grid = cascade.sample_phi_m(p.A, p.m0, 1, 3)
+    grid = cascade.sample_phi(p.A, *p.refinement, 3)
     lo, shape = cascade.grid_bounds(p.A, box, 3)
     assert np.array_equal(lo, grid.offset) and shape == grid.data.shape
 
@@ -451,7 +452,7 @@ def test_sample_phi_m_rejects_before_building_a_level(profiles, monkeypatch):
     monkeypatch.setattr(cascade, "integer_values", no_cascade)
     monkeypatch.setattr(cascade, "MAX_GRID_CELLS", 1000)
     with pytest.raises(ConfigError):
-        cascade.sample_phi_m(p.A, p.m0, 1, 3)
+        cascade.sample_phi(p.A, *p.refinement, 3)
 
 
 # The 2+i dilation: q = 5, so no lattice point off Z^2 is a dyadic rational

@@ -234,13 +234,27 @@ def test_mask_denominator_overflow_exit_2(capsys):
 
 
 def test_numerical_breakdown_in_the_profile_exit_2(capsys, tmp_path):
-    # At q = 36 the mask's imaginary residue passes the realify tolerance.
+    # 6I (q = 36) gets its mask: the sampled build has no imaginary residue.
     code, (out, err) = cli.main(["mask", "--matrix", "6,0;0,6"]), capsys.readouterr()
-    assert (code, out) == (2, "")
-    assert err.startswith("numerical breakdown: imaginary residue ") and err.count("\n") == 1
-    assert cli.main(["report", "--matrix", "6,0;0,6", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == err
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["coefficients"]) > 1
+    # At 32I the digit product overflows: report writes only analyze.json.
+    start = time.perf_counter()
+    assert cli.main(["report", "--matrix", "32,0;0,32", "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().err == (
+        "numerical breakdown: the product of the 1023 values G(2 pi s) is inf\n")
     assert [f.name for f in tmp_path.iterdir()] == ["analyze.json"]
+
+
+def test_mask_sample_grid_past_the_cap_exits_2(capsys):
+    # 2 * 10^7 + 1 samples of m0^m are refused before any is allocated.
+    start = time.perf_counter()
+    code, (out, err) = cli.main(["mask", "--matrix", "2", "--m", "10000000"]), capsys.readouterr()
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == ("config error: the order-10000000 mask needs a sample grid of "
+                   f"20000001^1 = 20000001 points; at most {cascade.MAX_GRID_CELLS} are allowed\n")
 
 
 def test_spectrum_csv_dump(tmp_path, capsys):
@@ -351,24 +365,26 @@ def test_job_checks_its_level_once(command, capsys, tmp_path, monkeypatch):
                       "--grid-n", "64", "--out", str(tmp_path))
     assert code == 0
     p = spectral.make_profile([[1, -2], [1, 0]])
-    order_2 = trigpoly.refinement_coefficients(p.m0 ** 2, p.q).c
-    order_4 = trigpoly.refinement_coefficients(p.m0 ** 4, p.q).c
+    order_2, order_4 = (trigpoly.refinement_coefficients(
+        trigpoly.build_mask(p.A, p.G, p.digits_AT, n), p.q).c for n in (2, 4))
     assert built.count(order_2) == 1
     assert built.count(order_4) == 1
 
 
 def test_report_raises_the_mask_to_the_power_m_once(capsys, tmp_path, monkeypatch):
-    exponents = []
-    original = trigpoly.TrigPoly.__pow__
+    orders = []
+    original = trigpoly.build_mask
 
-    def counted(self, m):
-        exponents.append(m)
-        return original(self, m)
-    monkeypatch.setattr(trigpoly.TrigPoly, "__pow__", counted)
+    def counted(A, G, ds, n=1):
+        orders.append(n)
+        return original(A, G, ds, n)
+    monkeypatch.setattr(trigpoly, "build_mask", counted)
     code, _ = run_cli(capsys, "report", "--matrix", "1,-1;1,1", "--m", "2", "--J", "4",
                       "--grid-n", "64", "--out", str(tmp_path))
     assert code == 0
-    assert exponents.count(2) == 1  # mask.json and the cascade share m0^2
+    # m0 for the profile, m0^2 shared by mask.json and the cascade, and
+    # m0^4 for the convolution check's phi^4.
+    assert orders == [1, 2, 4]
 
 
 def test_digit_count_past_the_cap_is_a_config_error(capsys, tmp_path, monkeypatch):
@@ -462,10 +478,14 @@ def test_float_formatting_17g(tmp_path, capsys):
 
 
 def test_eval_cascades_from_the_profile_refinement(capsys, monkeypatch, grids):
-    def no_rebuild(*args, **kwargs):
-        raise AssertionError("mask and refinement data rebuilt")
-    monkeypatch.setattr(cascade, "sample_phi_m", no_rebuild)
+    builds = []
+    build_mask = trigpoly.build_mask
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_mask(*args, **kwargs)
+    monkeypatch.setattr(trigpoly, "build_mask", counted)
     code, out = run_cli(capsys, "eval", "--matrix", "1,-1;1,1", "--J", "3")
-    assert code == 0
+    assert (code, len(builds)) == (0, 1)
     monkeypatch.undo()
     assert out == ioutils.grid_csv(grids("A1", 1, 3))

@@ -102,7 +102,7 @@ def test_kernel_formats_lattice_values_without_cpython(matrix, J):
     # The lattice writer's own columns must stay on the fast path: a kernel
     # that left every row to CPython would still print the right bytes.
     p = spectral.make_profile(matrix, m=2)
-    grid = cascade.sample_phi_m(p.A, p.m0, 2, J)
+    grid = cascade.sample_phi(p.A, *p.refinement, J)
     for column in [grid.values, *grid.cartesian_points().T]:
         text, fallback = kernel_text(column)
         assert fallback == []
@@ -190,7 +190,7 @@ def test_signed_zeros_and_nans_keep_their_own_text():
 @pytest.mark.parametrize("matrix, m, J", [([[2]], 2, 4), ([[1, -1], [1, 1]], 1, 4), (C3, 1, 1)])
 def test_grid_csv_across_block_boundaries(monkeypatch, matrix, m, J):
     p = spectral.make_profile(matrix, m=m)
-    grid = cascade.sample_phi_m(p.A, p.m0, m, J)
+    grid = cascade.sample_phi(p.A, *p.refinement, J)
     expected = reference_grid_csv(grid)
     n = len(grid.values)
     for block in (1, n - 1, n, n + 1):
@@ -204,7 +204,7 @@ def test_grid_csv_peak_stays_near_its_text():
     # texts and the joined text, about 2.0 times the text (16,384-row blocks
     # peaked at 3.4).
     p = spectral.make_profile([[1, -2], [1, 0]], m=2)
-    grid = cascade.sample_phi_m(p.A, p.m0, 2, 9)
+    grid = cascade.sample_phi(p.A, *p.refinement, 9)
     tracemalloc.start()
     try:
         text = ioutils.grid_csv(grid)
@@ -220,5 +220,5 @@ def test_eval_stdout_matches_reference(capsys, matrix, m, J):
     text = ";".join(",".join(map(str, row)) for row in matrix)
     assert cli.main(["eval", "--matrix", text, "--m", str(m), "--J", str(J)]) == 0
     p = spectral.make_profile(matrix, m=m)
-    expected = reference_grid_csv(cascade.sample_phi_m(p.A, p.m0, m, J))
+    expected = reference_grid_csv(cascade.sample_phi(p.A, *p.refinement, J))
     assert first_difference(capsys.readouterr().out, expected) is None

@@ -140,7 +140,7 @@ def test_smooth_size_is_the_next_5_smooth_number():
 def test_convolution_univariate_matches_cubic_bspline(profiles):
     # the discretized hat*hat against the closed-form cubic B-spline
     p = profiles("uni")
-    g1 = cascade.sample_phi_m(p.A, p.m0, 1, 6)
+    g1 = cascade.sample_phi(p.A, *p.refinement, 6)
     conv = helpers.fft_autoconvolve(g1.data) * g1.quadrature_weight
     offset = 2 * g1.offset[0]
     xs = (np.arange(conv.shape[0]) + offset) * 2.0 ** -6
@@ -398,9 +398,9 @@ def test_partition_picks_the_unbounded_sample(grids, seed, monkeypatch):
 
 def test_reproduction_fallback_cascades_from_the_profile(profiles, monkeypatch):
     def no_rebuild(*args, **kwargs):
-        raise AssertionError("mask and refinement data rebuilt")
-    monkeypatch.setattr(cascade, "sample_phi_m", no_rebuild)
+        raise AssertionError("mask rebuilt")
     p = profiles("A1", 1)
+    monkeypatch.setattr(spectral.trigpoly, "build_mask", no_rebuild)
     one = properties.Polynomial.from_terms(2, ((0, 0), 1.0))
     assert check_polynomial_reproduction(p, one) == check_polynomial_reproduction(
         p, one, grid=cascade.sample_phi(p.A, *p.refinement, 5))

@@ -58,7 +58,7 @@ def test_mu_lattice_and_bounds(profile3):
 
 
 def test_cascade_partition_of_unity(profile3):
-    grid = cascade.sample_phi_m(profile3.A, profile3.m0, 1, 3)
+    grid = cascade.sample_phi(profile3.A, *profile3.refinement, 3)
     assert grid.mass() == pytest.approx(1.0, abs=1e-9)
     assert properties.check_partition_of_unity(grid, n_samples=25) < 1e-8
 
@@ -67,13 +67,14 @@ def test_cascade_order_two(profile3):
     # the transition matrix over the whole 4641-point box took ~100 s to
     # build pair by pair; pruned to its 1041-point support it is fast
     t0 = time.perf_counter()
-    grid = cascade.sample_phi_m(profile3.A, profile3.m0, 2, 3)
+    rc, box = spectral.make_profile(M3, m=2).refinement
+    grid = cascade.sample_phi(profile3.A, rc, box, 3)
     assert time.perf_counter() - t0 < 30.0
     assert grid.mass() == pytest.approx(1.0, abs=1e-9)
     assert properties.check_partition_of_unity(grid, n_samples=25) < 1e-8
     # level 0 read back off level 3 is phi(A^3 j) = phi(j): the eigen
     # equation of the unpruned operator holds on every box point
-    g0 = cascade.sample_phi_m(profile3.A, profile3.m0, 2, 0)
+    g0 = cascade.sample_phi(profile3.A, rc, box, 0)
     back = cascade.coarsen(cascade.coarsen(cascade.coarsen(grid)))
     assert np.max(np.abs(back.data - g0.data)) < 1e-12
 

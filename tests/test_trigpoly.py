@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipsf import digits, matana, trigpoly
-from ellipsf.errors import MaskPoleAtDigit, NotPositiveDefinite
+from ellipsf import cascade, digits, matana, trigpoly
+from ellipsf.errors import ConfigError, MaskPoleAtDigit, NotPositiveDefinite
 from ellipsf.trigpoly import TrigPoly
 
 import helpers
@@ -100,7 +100,6 @@ def test_arithmetic_leaves_operands_unchanged():
     x = np.array([[0.3, -1.1], [2.0, 0.7]])
     values = [p.eval(x), q.eval(x)]
     results = [p + q, p - q, p * q, q * p, 2.0 * p, p ** 3,
-               p.shift_argument((Fraction(1, 2), Fraction(1, 3))),
                p.transform_frequencies([[1, 1], [1, -1]])]
     assert all(r is not p and r is not q for r in results)
     assert (p * q).coeffs.get((0, 0), 0) == 0  # the product was pruned, not p
@@ -147,15 +146,17 @@ def test_pow_m2_pointwise_cross_check(rng):
     assert (m0 ** 2).eval(pt).real == pytest.approx(m0.eval(pt).real ** 2, abs=1e-14)
 
 
+# The exact shifts of the reference mask build, helpers.dict_product_mask.
+
 def test_shift_by_integer_is_identity():
     p = TrigPoly(2, {(2, -1): 1.25, (0, 1): -0.5})
-    s = p.shift_argument((Fraction(3), Fraction(-2)))
+    s = helpers.shift_argument(p, (Fraction(3), Fraction(-2)))
     assert helpers.coeff_dict_dist(p.coeffs, s.coeffs) < 1e-15
 
 
 def test_shift_univariate_G_by_half():
     G = trigpoly.build_G(matana.QuadraticForm(np.eye(1), 1))
-    s = G.shift_argument((Fraction(1, 2),))
+    s = helpers.shift_argument(G, (Fraction(1, 2),))
     # 2(1 + cos xi)
     assert helpers.coeff_dict_dist(s.coeffs, {(0,): 2.0, (1,): 1.0, (-1,): 1.0}) < 1e-15
 
@@ -165,13 +166,13 @@ def test_shift_univariate_G_by_half():
 def test_rational_argument_of_wrong_dimension_raises(method, s):
     p = TrigPoly(2, {(1, 1): 0.5, (2, 0): -1.0})
     with pytest.raises(ValueError, match="wrong dimension"):
-        getattr(p, method)(s)
+        getattr(helpers, method)(p, s)
 
 
 def test_double_half_shift_recovers():
     p = TrigPoly(2, {(1, 1): 0.5 + 0.25j, (2, 0): -1.0})
     t = (Fraction(1, 2), Fraction(1, 2))
-    back = p.shift_argument(t).shift_argument(t)
+    back = helpers.shift_argument(helpers.shift_argument(p, t), t)
     assert helpers.coeff_dict_dist(p.coeffs, back.coeffs) < 1e-15
 
 
@@ -233,11 +234,12 @@ def test_G_zero_set(rng):
     assert np.all(trigpoly.eval_G_stable(qf, xi[off]) > 0)
 
 
-def test_quincunx_interpolating_identity():
+def test_quincunx_interpolating_identity(rng):
     A, _, G, ds = _profile_parts("A1")
     m0 = trigpoly.build_mask(A, G, ds)
-    total = m0 + m0.shift_argument((Fraction(1, 2), Fraction(1, 2)))
-    assert helpers.coeff_dict_dist(total.coeffs, {(0, 0): 1.0}) < 1e-12
+    xi = rng.uniform(-4 * math.pi, 4 * math.pi, size=(50, 2))
+    total = m0.eval_real(xi) + m0.eval_real(xi + math.pi)
+    assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 def test_mask_pole_detection():
@@ -254,6 +256,66 @@ def test_build_mask_requires_transposed_digits():
     G = trigpoly.build_G(matana.solve_quadratic_form(A))
     with pytest.raises(ValueError):
         trigpoly.build_mask(A, G, digits.digit_set(A.entries))  # digits of A, not A^T
+
+
+REFERENCE_MATRICES = {**MATRICES, "C3": [[0, 0, 2], [1, 0, 0], [0, 1, 0]], "2+i": [[2, -1], [1, 2]]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("name", list(REFERENCE_MATRICES))
+def test_sampled_mask_matches_the_dict_product(name, n):
+    A = matana.validate_dilation(REFERENCE_MATRICES[name])
+    G = trigpoly.build_G(matana.solve_quadratic_form(A))
+    ds = digits.digit_set(A.entries.T)
+    got = trigpoly.build_mask(A, G, ds, n)
+    want = helpers.dict_product_mask(A, G, ds, n)
+    assert set(got.coeffs) == set(want.coeffs)
+    # Both builds are within an ulp or two of the largest coefficient (2.34
+    # for C3's m0^4; 1 or less elsewhere).
+    scale = max(1.0, np.max(np.abs(want.C)))
+    assert helpers.coeff_dict_dist(got.coeffs, want.coeffs) <= 1e-15 * scale
+    assert [tuple(k) for k in got.K.tolist()] == list(got.coeffs)  # lexicographic
+
+
+def _conjugate(A, U):
+    """U A U^{-1} for unimodular U, in exact integers."""
+    U = np.array(U, dtype=np.int64)
+    U_inv = np.rint(np.linalg.inv(U)).astype(np.int64)
+    assert np.array_equal(U @ U_inv, np.eye(len(U), dtype=np.int64))
+    return (U @ np.array(A, dtype=np.int64) @ U_inv).tolist()
+
+
+# q = 25 to 64, where the expanded dict product lost the mask from q = 36
+# on, and the 2+i dilation conjugated by two unimodular matrices (new Q2 and
+# digits, same spectrum; 2I is its own conjugate).
+LARGE_Q = ([[[c, 0], [0, c]] for c in range(5, 9)]
+           + [_conjugate([[2, -1], [1, 2]], U) for U in ([[1, 1], [0, 1]], [[2, 1], [1, 1]])])
+
+
+@pytest.mark.parametrize("matrix", LARGE_Q,
+                         ids=lambda M: ";".join(",".join(map(str, r)) for r in M))
+def test_sampled_mask_identities(matrix):
+    A = matana.validate_dilation(matrix)
+    G = trigpoly.build_G(matana.solve_quadratic_form(A))
+    ds = digits.digit_set(A.entries.T)
+    m0 = trigpoly.build_mask(A, G, ds)
+    assert abs(m0.eval_real(np.zeros(2)) - 1.0) <= 1e-13
+    S = 2 * math.pi * np.array(ds.nonzero_S(), dtype=float)
+    assert np.max(np.abs(m0.eval_real(S))) <= 1e-13
+    xi = np.random.default_rng(sum(map(sum, matrix))).uniform(-4 * math.pi, 4 * math.pi, (40, 2))
+    pointwise = np.prod([G.eval_real(xi + s) / G.eval_real(s) for s in S], axis=0)
+    assert np.max(np.abs(m0.eval_real(xi) - pointwise)) <= 1e-12
+    assert abs(trigpoly.refinement_coefficients(m0, A.q).total() - A.q) <= 1e-12 * A.q
+
+
+def test_build_mask_refuses_a_sample_grid_past_the_cap(monkeypatch):
+    A, _, G, ds = _profile_parts("A1")
+    monkeypatch.setattr(cascade, "MAX_GRID_CELLS", 8 ** 2)
+    assert len(trigpoly.build_mask(A, G, ds, 3)) == 25  # N = 2 * 3 + 1 = 7 per axis
+    with pytest.raises(ConfigError, match=r"order-4 mask needs a sample grid of 9\^2 = 81 points"):
+        trigpoly.build_mask(A, G, ds, 4)
+    with pytest.raises(ValueError):
+        trigpoly.build_mask(A, G, ds, 0)
 
 
 def test_refinement_coefficients_univariate():
@@ -296,7 +358,7 @@ def test_is_real_flag():
 def test_realify_rejects_residue():
     p = TrigPoly(1, {(0,): 1.0 + 1e-6j})
     with pytest.raises(Exception):
-        p.realify()
+        helpers.realify(p)
 
 
 def test_transform_frequencies():
