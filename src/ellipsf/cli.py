@@ -48,6 +48,8 @@ class JobConfig:
         for name in ("m", "J", "grid_n", "seed"):
             if type(getattr(self, name)) is not int:  # bools are rejected too
                 raise ConfigError(f"{name} must be an integer")
+        if type(self.tol) not in (int, float):  # bools are rejected too
+            raise ConfigError("tol must be a real number")
         for failed, message in (
                 (self.m < 1, "m must be >= 1"),
                 (self.J < 0, "J must be >= 0"),

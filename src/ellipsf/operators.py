@@ -31,7 +31,7 @@ def apply_stencil(G: TrigPoly, grid: LatticeGrid, k: int = 1) -> LatticeGrid:
     """
     if k < 1:
         raise ValueError("power k must be >= 1")
-    taps = G.real_coeffs()
+    taps = G.coeffs
     offs = np.array(list(taps), dtype=np.int64).reshape(-1, grid.A.d)
     shifts = offs @ grid.A.power(grid.J).T
     out = grid
@@ -52,12 +52,6 @@ def green_spectrum(profile: SpectralProfile, xi):
     """Fourier transform (M/P)^m of the Green function of the operator."""
     x = np.asarray(xi, dtype=float)
     return (spectral.M_eval(profile, x) / eval_P(profile.Q2, x)) ** profile.m
-
-
-def green_combination(profile: SpectralProfile) -> TrigPoly:
-    """Weights w with phi^m = sum_k w_k rho(. - k); these are exactly the
-    coefficients of G^m, since phi_hat^m = G^m rho_hat."""
-    return profile.G ** profile.m
 
 
 def verify_operator_relation(profile: SpectralProfile, k: int) -> float:

@@ -181,7 +181,7 @@ def check_fourier_refinement(profile: SpectralProfile, n_samples: int = 100,
     y = pts @ profile.contraction.T
     vals = spectral.phi_hat(profile, np.vstack([pts, y]))
     lhs = vals[:len(pts)]
-    rhs = profile.m0.eval_real(y) ** profile.m * vals[len(pts):]
+    rhs = profile.m0.eval(y) ** profile.m * vals[len(pts):]
     return float(np.max(np.abs(lhs - rhs) / (np.abs(lhs) + 1e-15)))
 
 

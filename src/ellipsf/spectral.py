@@ -137,7 +137,7 @@ class SpectralProfile:
         One d^2 x d^2 solve of (A kron A - I) vec S = vec V, which is
         nonsingular: every eigenvalue of A kron A has modulus q^{2/d} > 1.
         """
-        k, c = self.m0.K.astype(float), self.m0.C.real
+        k, c = self.m0.K.astype(float), self.m0.C
         A = self.A.entries.astype(float)
         d = self.d
         V = (k.T * c) @ k
@@ -173,7 +173,7 @@ class SpectralProfile:
         def weighted(poly, *powers):
             k = poly.K.astype(float)
             w = np.einsum("ni,ij,nj->n", k, Q2_inv, k)
-            return [float(np.abs(poly.C.real) @ w ** n) for n in powers]
+            return [float(np.abs(poly.C) @ w ** n) for n in powers]
 
         def reach(lin, quad):
             """Largest p >= 0 with lin p + quad p^2 <= 1/2."""
@@ -249,7 +249,7 @@ def _mu_direct(profile: SpectralProfile, eta: np.ndarray) -> np.ndarray:
     """q^{2/d} m0(B eta) G(B eta) / G(eta) for |eta| >= LIMIT_RADIUS."""
     B = profile.contraction
     Beta = eta @ B.T
-    num = profile.m0.eval_real(Beta) * trigpoly.eval_G_stable(profile.Q2, Beta)
+    num = profile.m0.eval(Beta) * trigpoly.eval_G_stable(profile.Q2, Beta)
     return profile.q ** (2.0 / profile.d) * num / trigpoly.eval_G_stable(profile.Q2, eta)
 
 
@@ -452,7 +452,7 @@ def phi_hat(profile: SpectralProfile, x: np.ndarray) -> np.ndarray:
     exact nonzero lattice points return 0.  Values are nonnegative up to the
     rounding of m0 next to its zeros (about 1e-16).
     """
-    base = _closed_product(profile, x, None, profile.m0.eval_real, start=1,
+    base = _closed_product(profile, x, None, profile.m0.eval, start=1,
                            with_G_over_P=True)
     # Exact lattice points: clamp the rounding dust of the vanishing factors.
     eta, k = _reduce_torus(x)
@@ -553,9 +553,9 @@ def _mu_grid(profile: SpectralProfile, grid_n: int):
     u_start, u_size, u_wrap = _phase_span(W, N, L)
     S2 = _tabulate(lambda p: _turn_sines(p, 2 * L, square=True), u_start, u_size)
     S1 = _tabulate(lambda p: _turn_sines(p, L), u_start, u_size) if cross else None
-    # m0(B eta): cos(2 pi h . u / L) over the nonzero folded h.  The mask's
-    # coefficients are real, so it is a cosine sum (real_terms gives no sine part).
-    H, a, _ = profile.m0.real_terms
+    # m0(B eta): cos(2 pi h . u / L) over the nonzero folded h; an even mask
+    # is its folded cosine sum.
+    H, a = profile.m0.folded
     forms = H @ W
     live = forms.any(axis=1)
     const = float(np.sum(a[~live]))

@@ -1,17 +1,17 @@
 """Sparse trigonometric polynomials and mask synthesis.
 
-A TrigPoly is a finite map from integer frequency vectors k to complex
-coefficients, representing p(xi) = sum_k c_k exp(-i k . xi).  Frequencies are
-exact integers; only coefficient values are floating point.  This module
-builds the nonnegative polynomial G from a quadratic form, the mask m0 and its
-order-n powers m0^n, and the refinement coefficients of the scaling relation
+A TrigPoly is a finite map from integer frequency vectors k to real
+coefficients, representing p(xi) = sum_k c_k exp(-i k . xi), evaluated as one
+folded cosine sum (TrigPoly.eval).  Frequencies are exact integers; only
+coefficient values are floating point.  This module builds the nonnegative
+polynomial G from a quadratic form, the mask m0 and its order-n powers m0^n,
+and the refinement coefficients of the scaling relation
 phi(x) = sum_k c_k phi(A x - k).
 
 The mask is never expanded as a product of polynomials: build_mask samples
 m0^n, the digit-shifted product of values of G, on a grid that holds all its
-frequencies, and reads the coefficients off one inverse FFT.  One rule drops
-negligible coefficients, there and in products: a term at or below
-_PRUNE_REL = 1e-14 of the largest is dropped.
+frequencies, and reads the coefficients off one inverse FFT.  A term at or
+below _PRUNE_REL = 1e-14 of the largest is dropped.
 """
 
 from __future__ import annotations
@@ -38,39 +38,34 @@ def _negate(k: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-v for v in k)
 
 
-def _significant(c: np.ndarray) -> np.ndarray:
-    """Where |c| is above _PRUNE_REL times its largest entry."""
-    a = np.abs(c)
-    return a > _PRUNE_REL * a.max()
-
-
 class TrigPoly:
-    """Finite-support trigonometric polynomial sum_k c_k e^{-i k.xi}; immutable.
+    """Finite-support real trigonometric polynomial sum_k c_k e^{-i k.xi}; immutable.
 
-    The terms are stored once, at construction: K (T, d) holds the nonzero
-    frequencies in lexicographic order and C (T,) their coefficients, both
-    read-only; `coeffs` is a read-only {k: c_k} view of the same terms in
-    the order they were given.  For evaluation the pairs {k, -k} are folded
-    onto one representative k (the larger one): alpha_k = c_k + c_{-k} and
-    beta_k = c_k - c_{-k}, with alpha_0 = c_0 and beta_0 = 0, so that
+    The coefficients are real; a complex one raises TypeError.  The terms are
+    stored once, at construction: K (T, d) holds the nonzero frequencies in
+    lexicographic order and C (T,) their coefficients, both read-only;
+    `coeffs` is a read-only {k: c_k} view of the same terms in the order they
+    were given.  For evaluation the pairs {k, -k} are folded onto one
+    representative k (the larger one), alpha_k = c_k + c_{-k} and
+    alpha_0 = c_0, so that
 
-        p(xi) = sum_k alpha_k cos(k.xi) - i beta_k sin(k.xi),
-        Re p(xi) = sum_k Re(alpha_k) cos(k.xi) + Im(beta_k) sin(k.xi)
+        Re p(xi) = sum_k alpha_k cos(k.xi),
 
-    for every polynomial, real or not.  Real even polynomials (G and every
-    mask) have Im(beta) = 0 and evaluate as a cosine sum alone.  The folded
-    arrays are built on the first evaluation and kept.
+    which is p itself when p is even (c_{-k} = c_k), as G and every mask
+    are.  The folded terms are built on the first evaluation and kept.
     """
 
     def __init__(self, d: int, coeffs: dict | None = None):
         terms = {}
         for k, c in (coeffs or {}).items():
-            c = complex(c)
+            if isinstance(c, (complex, np.complexfloating)):
+                raise TypeError(f"TrigPoly coefficients are real; got {c!r} at {tuple(k)}")
+            c = float(c)
             if c != 0:
                 terms[tuple(map(int, k))] = c
         keys = sorted(terms)
         K = np.fromiter(chain.from_iterable(keys), np.int64, len(keys) * d).reshape(len(keys), d)
-        C = np.array([terms[k] for k in keys], dtype=complex)
+        C = np.array([terms[k] for k in keys], dtype=float)
         K.flags.writeable = C.flags.writeable = False
         init = object.__setattr__
         init(self, "d", d)
@@ -81,10 +76,6 @@ class TrigPoly:
     def __setattr__(self, name, value):
         raise AttributeError(f"TrigPoly is immutable; cannot set {name!r}")
 
-    @classmethod
-    def constant(cls, d: int, value=1.0) -> "TrigPoly":
-        return cls(d, {(0,) * d: value})
-
     def __len__(self):
         return len(self.coeffs)
 
@@ -92,139 +83,54 @@ class TrigPoly:
         return f"TrigPoly(d={self.d}, terms={len(self.coeffs)})"
 
     @cached_property
-    def _folded(self):
-        """(H, alpha, beta, has_sin): representatives H (n, d), ascending."""
+    def folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """(H, alpha): the representatives H (n, d), ascending, and alpha (n,).
+
+        alpha is a stride-2 view on purpose.  Over a strided operand einsum
+        sums each row left to right, term by term; over a contiguous one it
+        takes a SIMD kernel that adds in another order and moves the last bits
+        of eval and quartic_form.
+        """
         reps = sorted({max(k, _negate(k)) for k in self.coeffs})
-        alpha, beta = [], []
-        for k in reps:
-            c = self.coeffs.get(k, 0j)
-            if any(k):
-                cm = self.coeffs.get(_negate(k), 0j)
-                alpha.append(c + cm)
-                beta.append(c - cm)
-            else:
-                alpha.append(c)
-                beta.append(0j)
-        H = np.array(reps, dtype=np.int64).reshape(len(reps), self.d)
-        has_sin = any(z.imag != 0 for z in beta)
-        return H, np.array(alpha, dtype=complex), np.array(beta, dtype=complex), has_sin
+        alpha = np.zeros((len(reps), 2))
+        for i, k in enumerate(reps):
+            c = self.coeffs.get(k, 0.0)
+            alpha[i, 0] = c + self.coeffs.get(_negate(k), 0.0) if any(k) else c
+        return np.array(reps, dtype=np.int64).reshape(len(reps), self.d), alpha[:, 0]
 
     def eval(self, xi):
-        """Evaluate at a point (d,) or batch (N, d); returns complex.  Each
-        row is summed in a fixed order (einsum, no BLAS), so a row has the
-        same bits alone or in any batch."""
-        H, alpha, beta, _ = self._folded
+        """Re p at a point (d,), as a float, or at the rows of a batch (N, d).
+
+        Each row is summed left to right over the folded terms (einsum, no
+        BLAS), so a row has the same bits alone or in any batch.  The cosines
+        overwrite the phases, so a call holds one (rows, terms) matrix (a pool
+        thread's malloc arena keeps that peak).
+        """
+        H, alpha = self.folded
         x = np.asarray(xi, dtype=float)
         ph = np.atleast_2d(x) @ H.T
-        vals = np.einsum("ij,j->i", np.cos(ph), alpha) - 1j * np.einsum("ij,j->i", np.sin(ph), beta)
-        return complex(vals[0]) if x.ndim == 1 else vals
-
-    @property
-    def real_terms(self):
-        """(H, a, b) with Re p(xi) = sum_k a_k cos(H_k . xi) + b_k sin(H_k . xi).
-
-        H (n, d) holds the folded representatives, a = Re(alpha) and
-        b = Im(beta); b is None when it is all zero, as for G and every mask.
-        """
-        H, alpha, beta, has_sin = self._folded
-        return H, alpha.real, beta.imag if has_sin else None
-
-    def eval_real(self, xi):
-        """Real part of eval, from the folded cosine (and, if any, sine) sum.
-
-        The cosines overwrite the phases, so an even polynomial's call holds
-        one (rows, terms) matrix, not two (a pool thread's malloc arena keeps
-        that peak).
-        """
-        H, a, b = self.real_terms
-        x = np.asarray(xi, dtype=float)
-        ph = np.atleast_2d(x) @ H.T
-        odd = None if b is None else np.einsum("ij,j->i", np.sin(ph), b)
-        vals = np.einsum("ij,j->i", np.cos(ph, out=ph), a)
-        if odd is not None:
-            vals += odd
+        vals = np.einsum("ij,j->i", np.cos(ph, out=ph), alpha)
         return float(vals[0]) if x.ndim == 1 else vals
 
     def quartic_form(self, xi) -> np.ndarray:
-        """sum_k Re(c_k) (k.xi)^4 at the rows of xi (N, d), from the folded terms.
+        """sum_k c_k (k.xi)^4 at the rows of xi (N, d), from the folded terms.
 
-        For a real even polynomial p this is 24 times the quartic Taylor term
-        of p at 0.  The power is taken as two squarings of the phase matrix.
+        For an even polynomial p this is 24 times the quartic Taylor term of
+        p at 0.  The power is taken as two squarings of the phase matrix.
         """
-        H, alpha, _, _ = self._folded
+        H, alpha = self.folded
         y = np.atleast_2d(np.asarray(xi, dtype=float)) @ H.T
         y *= y
         y *= y
-        return np.einsum("ij,j->i", y, alpha.real)
-
-    def transform_frequencies(self, M) -> "TrigPoly":
-        """Map k -> M k on frequencies; the result evaluates to p(M^T xi)."""
-        out = {}
-        for nk, c in zip(map(tuple, (self.K @ np.asarray(M, dtype=np.int64).T).tolist()), self.C):
-            out[nk] = out.get(nk, 0) + c
-        return TrigPoly(self.d, out)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return TrigPoly(self.d, out)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) - c
-        return TrigPoly(self.d, out)
-
-    def __mul__(self, other):
-        """Product; coefficient maps convolve, supports add."""
-        if isinstance(other, (int, float, complex)):
-            return TrigPoly(self.d, {k: c * other for k, c in self.coeffs.items()})
-        other = self._coerce(other)
-        out: dict[tuple[int, ...], complex] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, 0) + c1 * c2
-        return TrigPoly(self.d, out)._prune()
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m: int):
-        if not isinstance(m, int) or m < 0:
-            raise ValueError("power must be a nonnegative integer")
-        out = TrigPoly.constant(self.d)
-        for _ in range(m):
-            out = out * self
-        return out
-
-    def _coerce(self, other) -> "TrigPoly":
-        if isinstance(other, TrigPoly):
-            if other.d != self.d:
-                raise ValueError("dimension mismatch")
-            return other
-        return TrigPoly.constant(self.d, other)
-
-    def _prune(self) -> "TrigPoly":
-        """Copy without the terms at or below _PRUNE_REL of the largest."""
-        if not self.coeffs:
-            return self
-        keep = _significant(np.array(list(self.coeffs.values())))
-        return TrigPoly(self.d, {k: c for (k, c), ok in zip(self.coeffs.items(), keep) if ok})
+        return np.einsum("ij,j->i", y, alpha)
 
     @property
     def is_real(self) -> bool:
-        """True iff c_{-k} = conj(c_k) for every frequency (checked, not assumed)."""
-        scale = max((abs(c) for c in self.coeffs.values()), default=1.0)
-        for k, c in self.coeffs.items():
-            if abs(self.coeffs.get(_negate(k), 0) - c.conjugate()) > REALNESS_TOL * max(scale, 1.0):
-                return False
-        return True
-
-    def real_coeffs(self) -> dict[tuple[int, ...], float]:
-        return {k: c.real for k, c in self.coeffs.items()}
+        """True iff p is real-valued: c_{-k} = c_k for every frequency, to
+        REALNESS_TOL of the largest coefficient (checked, not assumed)."""
+        scale = max(max(map(abs, self.coeffs.values()), default=1.0), 1.0)
+        return all(abs(self.coeffs.get(_negate(k), 0.0) - c) <= REALNESS_TOL * scale
+                   for k, c in self.coeffs.items())
 
 
 def build_G(qf: QuadraticForm) -> TrigPoly:
@@ -237,7 +143,7 @@ def build_G(qf: QuadraticForm) -> TrigPoly:
     d = qf.d
     if np.linalg.eigvalsh(Q2)[0] <= 0:
         raise NotPositiveDefinite("quadratic form must be positive definite")
-    coeffs: dict[tuple[int, ...], complex] = {}
+    coeffs: dict[tuple[int, ...], float] = {}
 
     def bump(k, v):
         k = tuple(k)
@@ -328,7 +234,7 @@ def build_mask(A: DilationMatrix, G: TrigPoly, ds: DigitSet, n: int = 1) -> Trig
     def G_at(u):
         """G(2 pi u / L) at the integer rows u, each reduced to [-L/2, L/2)."""
         u = u % L
-        return G.eval_real((2.0 * math.pi / L) * np.where(2 * u >= L, u - L, u))
+        return G.eval((2.0 * math.pi / L) * np.where(2 * u >= L, u - L, u))
 
     values = G_at(turns).tolist()
     scale = max(abs(c) for c in G.coeffs.values())
@@ -349,7 +255,8 @@ def build_mask(A: DilationMatrix, G: TrigPoly, ds: DigitSet, n: int = 1) -> Trig
     # axis by a rounded 1/N, which moved 1-D coefficients at q = 3 by an ulp.
     c = np.fft.fftshift(np.fft.ifftn(samples.reshape((N,) * G.d), norm="forward").real)
     c /= cells
-    keep = _significant(c)
+    a = np.abs(c)
+    keep = a > _PRUNE_REL * a.max()
     k = np.argwhere(keep) - N // 2
     return TrigPoly(G.d, dict(zip(map(tuple, k.tolist()), c[keep].tolist())))
 
@@ -376,24 +283,23 @@ class RefinementCoefficients:
 def refinement_coefficients(m0: TrigPoly, q: int) -> RefinementCoefficients:
     if not m0.is_real:
         raise ValueError("mask must be real")
-    cmap = m0.real_coeffs()
-    total = math.fsum(cmap.values())
+    total = math.fsum(m0.coeffs.values())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"mask is not normalized, m0(0) = {total!r}")
-    c = {k: q * v for k, v in cmap.items()}
+    c = {k: q * v for k, v in m0.coeffs.items()}
     return RefinementCoefficients(c, q, m0.d)
 
 
 def render_cosine(p: TrigPoly) -> str:
-    """Human-readable cosine/sine rendering, 12 significant digits, for tables.
+    """Human-readable cosine rendering, 12 significant digits, for tables.
 
     Reads the folded form: the constant first, then each representative
-    frequency k, in descending order, as Re(alpha_k) cos + Im(beta_k) sin.
+    frequency k, in descending order, as alpha_k cos(k.xi).
     """
-    H, alpha, beta, _ = p._folded
+    H, alpha = p.folded
     c0 = p.coeffs.get((0,) * p.d, 0)
-    parts = [f"{c0.real:.12g}"] if c0 != 0 or not p.coeffs else []
-    for pos, a, b in zip(H.tolist()[::-1], alpha.real[::-1], beta.imag[::-1]):
+    parts = [f"{c0:.12g}"] if c0 != 0 or not p.coeffs else []
+    for pos, a in zip(H.tolist()[::-1], alpha[::-1]):
         if not any(pos):
             continue
         freq = " + ".join(
@@ -403,12 +309,9 @@ def render_cosine(p: TrigPoly) -> str:
         ).replace("+ -", "- ")
         if abs(a) > 1e-15:
             parts.append(f"{a:+.12g} cos({freq})")
-        if abs(b) > 1e-15:
-            parts.append(f"{b:+.12g} sin({freq})")
     return " ".join(parts) if parts else "0"
 
 
 def mask_to_json(p: TrigPoly) -> list[dict]:
     """Export format: list of {"k": [...], "c": float} sorted by frequency."""
-    cmap = p.real_coeffs()
-    return [{"k": list(k), "c": cmap[k]} for k in sorted(cmap)]
+    return [{"k": list(k), "c": p.coeffs[k]} for k in sorted(p.coeffs)]

@@ -72,13 +72,16 @@ def sinc_squared(xi):
 
 
 # The mask as it was built before it was sampled: the product of q - 1 copies
-# of G, each shifted by 2 pi s with exact phases, expanded as coefficient
-# maps, and its n-th power taken the same way.  Past q = 25 the cancellation
-# in the expanded complex product loses the mask (imaginary residue 1.0e-11
-# at 6I), so it serves as the reference on the fixtures only.
+# of G, each shifted by 2 pi s with exact phases, expanded as complex
+# coefficient maps {k: c_k}, and its n-th power taken the same way.  Past
+# q = 25 the cancellation in the expanded complex product loses the mask
+# (imaginary residue 1.0e-11 at 6I), so it serves as the reference on the
+# fixtures only.
 
-def _turns(s, d):
-    """(n, D) with s = n / D exactly: D the common denominator of rational s (length d)."""
+def _turns(s, coeffs):
+    """(n, D) with s = n / D exactly: D the common denominator of rational s,
+    whose length must be the dimension of the frequencies of coeffs."""
+    d = len(next(iter(coeffs)))
     if len(s) != d:
         raise ValueError(f"rational argument has wrong dimension {len(s)}, expected {d}")
     s = [Fraction(c) for c in s]
@@ -100,36 +103,99 @@ def _phase(num, den):
     return cmath.exp(-2j * math.pi * (r / den))
 
 
-def eval_at_two_pi(p, s):
-    """p(2 pi s) for exact rational s, with compensated sums."""
-    n, D = _turns(s, p.d)
-    terms = [c * _phase(sum(ki * ni for ki, ni in zip(k, n)), D) for k, c in p.coeffs.items()]
+def eval_at_two_pi(coeffs, s):
+    """p(2 pi s) for p's coefficient map and exact rational s, with compensated sums."""
+    n, D = _turns(s, coeffs)
+    terms = [c * _phase(sum(ki * ni for ki, ni in zip(k, n)), D) for k, c in coeffs.items()]
     return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
 
 
-def shift_argument(p, t):
-    """p(xi + 2 pi t) for exact rational t: c_k *= e^{-2 pi i k.t}."""
-    n, D = _turns(t, p.d)
-    return TrigPoly(p.d, {k: c * _phase(sum(ki * ni for ki, ni in zip(k, n)), D)
-                          for k, c in p.coeffs.items()})
+def shift_argument(coeffs, t):
+    """The coefficient map of p(xi + 2 pi t) for exact rational t: c_k *= e^{-2 pi i k.t}."""
+    n, D = _turns(t, coeffs)
+    return {k: c * _phase(sum(ki * ni for ki, ni in zip(k, n)), D) for k, c in coeffs.items()}
 
 
-def realify(p):
-    """p with its imaginary coefficient parts dropped; they must be below REALNESS_TOL."""
-    worst = max((abs(c.imag) for c in p.coeffs.values()), default=0.0)
+def coeff_product(a, b):
+    """The coefficient map of the product of two polynomials, from theirs.
+
+    Frequencies add and coefficients convolve in the order of the two maps;
+    exact zeros and the terms at or below 1e-14 of the largest are dropped,
+    the rule build_mask prunes by.
+    """
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            out[k] = out.get(k, 0) + c1 * c2
+    top = max(map(abs, out.values()), default=0.0)
+    return {k: c for k, c in out.items() if c != 0 and abs(c) > 1e-14 * top}
+
+
+def coeff_power(coeffs, n, d):
+    """The coefficient map of p^n, as n products with coeff_product."""
+    out = {(0,) * d: 1.0}
+    for _ in range(n):
+        out = coeff_product(out, coeffs)
+    return out
+
+
+def realify(coeffs):
+    """coeffs with the imaginary parts dropped; they must be below REALNESS_TOL."""
+    worst = max((abs(c.imag) for c in coeffs.values()), default=0.0)
     if worst > REALNESS_TOL:
         raise NumericalBreakdown(f"imaginary residue {worst:.3e} above {REALNESS_TOL:.1e}")
-    return TrigPoly(p.d, {k: c.real for k, c in p.coeffs.items()})
+    return {k: c.real for k, c in coeffs.items() if c.real != 0}
 
 
 def dict_product_mask(A, G, ds, n=1):
-    """m0^n from the expanded product of shifted copies of G, as coefficient maps."""
+    """The coefficient map of m0^n from the expanded product of shifted copies of G."""
     shifts = ds.nonzero_S()
-    den = math.prod(eval_at_two_pi(G, s).real for s in shifts)
-    num = TrigPoly.constant(G.d)
+    den = math.prod(eval_at_two_pi(G.coeffs, s).real for s in shifts)
+    num = {(0,) * G.d: 1.0}
     for s in shifts:
-        num = num * shift_argument(G, s)
-    return realify(num * (1.0 / den)) ** n
+        num = coeff_product(num, shift_argument(G.coeffs, s))
+    return coeff_power(realify({k: c * (1.0 / den) for k, c in num.items()}), n, G.d)
+
+
+def map_frequencies(coeffs, M):
+    """The coefficient map of p(M^T xi): each frequency k goes to M k."""
+    M = np.asarray(M, dtype=np.int64)
+    out = {}
+    for k, c in coeffs.items():
+        nk = tuple((M @ np.array(k, dtype=np.int64)).tolist())
+        out[nk] = out.get(nk, 0) + c
+    return out
+
+
+def green_combination(profile):
+    """Weights w with phi^m = sum_k w_k rho(. - k); these are exactly the
+    coefficients of G^m, since phi_hat^m = G^m rho_hat."""
+    return TrigPoly(profile.d, coeff_power(profile.G.coeffs, profile.m, profile.d))
+
+
+def folded_sum_left_to_right(p, xi, quartic=False):
+    """p.eval(xi), or p.quartic_form(xi) with quartic=True, at the rows of xi
+    (N, d), with each row's sum taken over the folded terms one at a time, in
+    ascending order of the representative, from p's coefficient map.
+
+    The phases are the same matrix product of the rows with the frequencies,
+    so the bits differ from the evaluator's only if its order of addition does.
+    """
+    reps = sorted({max(k, tuple(-v for v in k)) for k in p.coeffs})
+    H = np.array(reps, dtype=np.int64).reshape(len(reps), p.d)
+    ph = np.atleast_2d(np.asarray(xi, dtype=float)) @ H.T
+    if quartic:
+        ph *= ph
+        ph *= ph
+    else:
+        ph = np.cos(ph)
+    out = np.zeros(len(ph))
+    for j, k in enumerate(reps):
+        neg = tuple(-v for v in k)
+        alpha = p.coeffs.get(k, 0.0) + p.coeffs.get(neg, 0.0) if any(k) else p.coeffs[k]
+        out += ph[:, j] * alpha
+    return out
 
 
 # Closed forms of the worked masks, written exactly as displayed in the
@@ -198,7 +264,7 @@ def refine_by_taps(A, rc, grid):
 
 def apply_stencil_by_taps(G, grid, k):
     """k applications of the stencil with G's taps, one call per tap."""
-    taps = G.real_coeffs()
+    taps = G.coeffs
     AJ = grid.A.power(grid.J)
     offs = np.array(list(taps), dtype=np.int64)
     out = grid
@@ -257,7 +323,7 @@ def mask_is_interpolating_by_shifts(profile):
     """sum_s m0(xi + 2 pi s) over the digits of A^T is 1 at 16 seeded points."""
     xi = np.random.default_rng(11).uniform(-math.pi, math.pi, size=(16, profile.d))
     S = 2 * math.pi * np.array(profile.digits_AT.S, dtype=float)
-    total = sum(profile.m0.eval_real(xi + s) for s in S)
+    total = sum(profile.m0.eval(xi + s) for s in S)
     return bool(np.max(np.abs(total - 1.0)) <= 1e-12)
 
 

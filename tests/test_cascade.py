@@ -15,7 +15,9 @@ from test_generalization import ZOO
 
 
 def _rc(profile, m=1):
-    return refinement_coefficients(profile.m0 ** m, profile.q)
+    """The refinement coefficients of phi^m, from the order-m mask."""
+    return refinement_coefficients(
+        trigpoly.build_mask(profile.A, profile.G, profile.digits_AT, m), profile.q)
 
 
 def test_support_box_univariate_hat(profiles):

@@ -127,6 +127,22 @@ def test_config_invalid_values_rejected(tmp_path, capsys):
     assert run_cli(capsys, "spectrum", "--matrix", "2", "--tol", "nan") == (2, "")
 
 
+@pytest.mark.parametrize("tol", [True, False, "1e-3", [1e-3], None])
+def test_config_tol_must_be_a_real_number(tol, tmp_path, capsys):
+    # "tol": true passed as 1 and was printed back as "tol": true.
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"matrix": [[2]], "tol": tol}))
+    code = cli.main(["spectrum", "--config", str(cfg), "--grid-n", "32"])
+    assert (code, *capsys.readouterr()) == (2, "", "config error: tol must be a real number\n")
+
+
+def test_config_integer_tol_is_accepted(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"matrix": [[2]], "tol": 1}))
+    code, out = run_cli(capsys, "spectrum", "--config", str(cfg), "--grid-n", "32")
+    assert code == 0 and json.loads(out)["tol"] == 1
+
+
 @pytest.mark.parametrize("text", ["1,2;3", "", "1,,2;3,4", "1.5,0;0,2",
                                   "99999999999999999999,0;0,2"])
 def test_malformed_matrix_string_exit_2(text, capsys):
@@ -210,7 +226,7 @@ def test_bordered_matrix_past_its_budget_exits_2(capsys, monkeypatch):
     p = spectral.make_profile([[1, -1], [1, 1]])
     ns = []
     for m in (1, 2):
-        rc = trigpoly.refinement_coefficients(p.m0 ** m, p.q)
+        rc = trigpoly.refinement_coefficients(trigpoly.build_mask(p.A, p.G, p.digits_AT, m), p.q)
         ns.append(len(cascade.transition_matrix(p.A, rc, cascade.support_box(p.A, rc))[1]))
     assert ns[0] < ns[1]
     budget = 8 * (ns[1] + 1) ** 2 - 1

@@ -11,19 +11,19 @@ import helpers
 
 
 def test_stencil_identity_form():
-    taps = build_G(matana.QuadraticForm(np.eye(2), 2)).real_coeffs()
+    taps = build_G(matana.QuadraticForm(np.eye(2), 2)).coeffs
     expected = {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0, (0, 1): -1.0, (0, -1): -1.0}
     assert helpers.coeff_dict_dist(taps, expected) < 1e-15
 
 
 def test_stencil_univariate_second_difference():
-    taps = build_G(matana.QuadraticForm(np.eye(1), 1)).real_coeffs()
+    taps = build_G(matana.QuadraticForm(np.eye(1), 1)).coeffs
     assert helpers.coeff_dict_dist(taps, {(-1,): -1.0, (0,): 2.0, (1,): -1.0}) < 1e-15
 
 
 def test_stencil_mixed_terms():
     qf = matana.QuadraticForm(np.array([[2.0, 0.5], [0.5, 1.0]]), 2)
-    taps = build_G(qf).real_coeffs()
+    taps = build_G(qf).coeffs
     assert taps[(1, 1)] == pytest.approx(-0.25)
     assert taps[(-1, -1)] == pytest.approx(-0.25)
     assert taps[(1, -1)] == pytest.approx(0.25)
@@ -35,8 +35,8 @@ def test_stencil_mixed_terms():
 def test_stencil_symbol_is_G(name, profiles, rng):
     p = profiles(name)
     pts = rng.uniform(-8, 8, size=(100, p.d))
-    assert np.max(np.abs(p.G.eval_real(pts) - eval_G_stable(p.Q2, pts))) < 1e-12
-    assert abs(sum(p.G.real_coeffs().values())) < 1e-12
+    assert np.max(np.abs(p.G.eval(pts) - eval_G_stable(p.Q2, pts))) < 1e-12
+    assert abs(sum(p.G.coeffs.values())) < 1e-12
 
 
 def _filled_grid(profile, values_of_x, J=3, half=2):
@@ -97,7 +97,7 @@ def test_stencil_reduces_polynomial_degree(name, profiles):
     # G applied to monomial samples of total degree N <= 4 leaves a
     # polynomial of total degree <= N - 2 (exact difference calculus).
     p = profiles(name)
-    taps = build_G(p.Q2).real_coeffs()
+    taps = build_G(p.Q2).coeffs
     for alpha in product(range(5), repeat=2):
         if not 0 <= sum(alpha) <= 4:
             continue
@@ -132,7 +132,7 @@ def test_operator_relation_rejects_k_ge_m(profiles):
 
 def test_green_combination_univariate(profiles):
     p = profiles("uni")
-    w = operators.green_combination(p)
+    w = helpers.green_combination(p)
     assert helpers.coeff_dict_dist(w.coeffs, {(0,): 2.0, (1,): -1.0, (-1,): -1.0}) < 1e-13
 
 
@@ -146,7 +146,7 @@ def test_green_spectrum_ratios(name, m, profiles, rng):
         keep = np.linalg.norm(eta, axis=1) > 0.4
         pts.extend(cand[keep][: 50 - len(pts)])
     pts = np.array(pts)
-    Gm = operators.green_combination(p).eval(pts).real
+    Gm = helpers.green_combination(p).eval(pts)
     rho = operators.green_spectrum(p, pts)
     ph = spectral.phi_hat(p, pts)
     # phi_hat^m / rho_hat = G^m
@@ -169,7 +169,7 @@ def test_green_annihilation_coefficient_identity(profiles):
         return vals.reshape(xi.shape[:-1])
 
     got = helpers.fft_coeffs(func, 2, N=N, tol=1e-9)
-    expected = operators.green_combination(p).coeffs
+    expected = helpers.green_combination(p).coeffs
     assert helpers.coeff_dict_dist(got, expected) < 1e-7
 
 

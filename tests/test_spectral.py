@@ -83,7 +83,7 @@ def _closure_free_phi_hat_1(p, x, levels=160):
     out = np.ones(len(x))
     for _ in range(levels):
         x = x @ p.contraction.T
-        out *= p.m0.eval_real(x)
+        out *= p.m0.eval(x)
     return out
 
 
@@ -291,7 +291,7 @@ def test_phi_hat_within_tol_of_deep_reference(name, m, any_profile):
         # loses up to all of it next to the zeros at 4 pi k, where 1 + cos
         # cancels at the second level, so the reference takes one level.
         y = x @ p.contraction.T
-        ref = (p.m0.eval_real(y) * helpers.sinc_squared(y[:, 0])) ** m
+        ref = (p.m0.eval(y) * helpers.sinc_squared(y[:, 0])) ** m
     else:
         ref = _closure_free_phi_hat_1(p, x) ** m
     assert np.all(np.abs(phi_hat(p, x) - ref) <= p.truncation_tol * np.abs(ref))
@@ -788,7 +788,7 @@ def test_fourier_refinement_identity(profiles, rng):
         pts = spectral._off_lattice_points(rng, 100, p.d)
         lhs = phi_hat(p, pts)
         B = p.contraction
-        rhs = p.m0.eval_real(pts @ B.T) * phi_hat(p, pts @ B.T)
+        rhs = p.m0.eval(pts @ B.T) * phi_hat(p, pts @ B.T)
         assert np.max(np.abs(lhs - rhs) / (np.abs(lhs) + 1e-15)) < 1e-8
 
 

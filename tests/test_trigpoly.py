@@ -1,4 +1,3 @@
-import cmath
 import math
 from fractions import Fraction
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipsf import cascade, digits, matana, trigpoly
+from ellipsf import cascade, digits, matana, spectral, trigpoly
 from ellipsf.errors import ConfigError, MaskPoleAtDigit, NotPositiveDefinite
 from ellipsf.trigpoly import TrigPoly
 
@@ -25,28 +24,33 @@ def _profile_parts(name):
 
 def test_eval_G_quincunx_at_pi_pi():
     _, _, G, _ = _profile_parts("A1")
-    assert G.eval(np.array([math.pi, math.pi])).real == pytest.approx(8.0, abs=1e-12)
+    assert G.eval(np.array([math.pi, math.pi])) == pytest.approx(8.0, abs=1e-12)
 
 
 def test_eval_at_zero_is_coefficient_sum():
-    p = TrigPoly(2, {(1, 0): 0.3, (0, -2): 0.7 + 0.1j, (0, 0): -1.0})
-    assert p.eval(np.zeros(2)) == pytest.approx(0.3 + 0.7 + 0.1j - 1.0)
+    p = TrigPoly(2, {(1, 0): 0.3, (0, -2): 0.7, (0, 0): -1.0})
+    assert p.eval(np.zeros(2)) == pytest.approx(0.3 + 0.7 - 1.0)
+
+
+@pytest.mark.parametrize("c", [0.5j, 1.0 + 0j, np.complex128(0.5), np.complex64(0.5)],
+                         ids=["complex", "complex-real", "complex128", "complex64"])
+def test_complex_coefficient_raises(c):
+    with pytest.raises(TypeError, match="coefficients are real"):
+        TrigPoly(1, {(1,): c, (-1,): 0.5})
 
 
 @st.composite
 def _poly_and_points(draw):
-    """A polynomial in d = 1..3 (Hermitian or not) and points with |xi| <= 40."""
+    """A real polynomial in d = 1..3 (even or not) and points with |xi| <= 40."""
     d = draw(st.integers(1, 3))
     freq = st.tuples(*[st.integers(-4, 4)] * d)
     part = st.floats(-2.0, 2.0)
-    coeff = st.builds(complex, part, part)
-    coeffs = draw(st.dictionaries(freq, coeff, max_size=12))
-    if draw(st.booleans()):  # Hermitian: c_{-k} = conj(c_k), a real polynomial
-        hermitian = {}
+    coeffs = draw(st.dictionaries(freq, part, max_size=12))
+    if draw(st.booleans()):  # even: c_{-k} = c_k
+        even = {}
         for k, c in coeffs.items():
-            c = c if any(k) else complex(c.real)
-            hermitian[k], hermitian[tuple(-v for v in k)] = c, c.conjugate()
-        coeffs = hermitian
+            even[k] = even[tuple(-v for v in k)] = c
+        coeffs = even
     x = np.array(draw(st.lists(st.lists(part, min_size=d, max_size=d), min_size=1, max_size=8)))
     norms = np.linalg.norm(x, axis=1)
     scale = draw(st.floats(0.0, 40.0)) / np.where(norms > 0, norms, 1.0)
@@ -58,13 +62,12 @@ def _poly_and_points(draw):
 def test_eval_matches_termwise_sum(case):
     d, coeffs, xs = case
     p = TrigPoly(d, coeffs)
-    literal = np.array([sum((c * cmath.exp(-1j * sum(ki * xi for ki, xi in zip(k, x)))
-                             for k, c in coeffs.items()), 0j) for x in xs])
+    # Re sum_k c_k e^{-i k.xi} for real c_k, term by term.
+    literal = np.array([sum((c * math.cos(sum(ki * xi for ki, xi in zip(k, x)))
+                             for k, c in coeffs.items()), 0.0) for x in xs])
     bound = 1e-12 * max(sum(abs(c) for c in coeffs.values()), 1e-300)
     assert np.max(np.abs(p.eval(xs) - literal)) <= bound
-    assert np.max(np.abs(p.eval_real(xs) - literal.real)) <= bound
     assert abs(p.eval(xs[0]) - literal[0]) <= bound
-    assert abs(p.eval_real(xs[0]) - literal[0].real) <= bound
 
 
 @pytest.mark.parametrize("name", ["A1", "A3", "A4", "uni"])
@@ -80,7 +83,7 @@ def test_eval_row_does_not_depend_on_the_batch(name):
 
 
 def test_trigpoly_is_immutable():
-    p = TrigPoly(2, {(1, 0): 0.5, (-1, 0): 0.5, (0, 2): 0.25j})
+    p = TrigPoly(2, {(1, 0): 0.5, (-1, 0): 0.5, (0, 2): 0.25})
     with pytest.raises(TypeError):
         p.coeffs[(1, 0)] = 2.0
     with pytest.raises(ValueError):
@@ -93,87 +96,71 @@ def test_trigpoly_is_immutable():
     assert [p.coeffs[tuple(k)] for k in p.K.tolist()] == p.C.tolist()
 
 
-def test_arithmetic_leaves_operands_unchanged():
-    p = TrigPoly(2, {(1, 0): 0.5, (-1, 0): 0.5, (0, 0): 1e-20, (1, 1): 0.25j})
-    q = TrigPoly(2, {(0, 1): -1.0, (0, 0): 2.0})
-    before = [(dict(t.coeffs), t.K.copy(), t.C.copy()) for t in (p, q)]
-    x = np.array([[0.3, -1.1], [2.0, 0.7]])
-    values = [p.eval(x), q.eval(x)]
-    results = [p + q, p - q, p * q, q * p, 2.0 * p, p ** 3,
-               p.transform_frequencies([[1, 1], [1, -1]])]
-    assert all(r is not p and r is not q for r in results)
-    assert (p * q).coeffs.get((0, 0), 0) == 0  # the product was pruned, not p
-    for t, (coeffs, K, C), v in zip((p, q), before, values):
-        assert dict(t.coeffs) == coeffs
-        assert np.array_equal(t.K, K) and np.array_equal(t.C, C)
-        assert np.array_equal(t.eval(x), v)
-
-
 def test_mask_normalization_at_zero():
     for name in MATRICES:
         A, _, G, ds = _profile_parts(name)
         m0 = trigpoly.build_mask(A, G, ds)
-        assert m0.eval(np.zeros(A.d)).real == pytest.approx(1.0, abs=1e-13)
+        assert m0.eval(np.zeros(A.d)) == pytest.approx(1.0, abs=1e-13)
 
+
+# The expanded products of the references, helpers.coeff_product and
+# coeff_power, which build helpers.dict_product_mask and green_combination.
 
 def test_mul_pow_match_pointwise(rng):
-    A, _, _, ds = _profile_parts("A1")
-    m0 = trigpoly.build_mask(A, trigpoly.build_G(matana.solve_quadratic_form(A)), ds)
+    A, _, G, ds = _profile_parts("A1")
+    m0 = trigpoly.build_mask(A, G, ds)
     pts = rng.uniform(-math.pi, math.pi, size=(50, 2))
-    prod = (m0 * m0).eval(pts)
-    sq = m0.eval(pts) ** 2
-    assert np.max(np.abs(prod - sq)) < 1e-12
-    pw = (m0 ** 3).eval(pts)
+    prod = TrigPoly(2, helpers.coeff_product(m0.coeffs, m0.coeffs)).eval(pts)
+    assert np.max(np.abs(prod - m0.eval(pts) ** 2)) < 1e-12
+    pw = TrigPoly(2, helpers.coeff_power(m0.coeffs, 3, 2)).eval(pts)
     assert np.max(np.abs(pw - m0.eval(pts) ** 3)) < 1e-12
 
 
 def test_pow_double_angle():
-    p = TrigPoly(1, {(1,): 0.5, (-1,): 0.5})  # cos xi
-    sq = p ** 2
-    assert helpers.coeff_dict_dist(sq.coeffs, {(0,): 0.5, (2,): 0.25, (-2,): 0.25}) < 1e-15
+    sq = helpers.coeff_power({(1,): 0.5, (-1,): 0.5}, 2, 1)  # cos^2 xi
+    assert helpers.coeff_dict_dist(sq, {(0,): 0.5, (2,): 0.25, (-2,): 0.25}) < 1e-15
 
 
 def test_mul_identity():
-    p = TrigPoly(2, {(1, 0): 0.25, (0, 0): 0.5})
-    q = p * TrigPoly.constant(2, 1.0)
-    assert helpers.coeff_dict_dist(p.coeffs, q.coeffs) == 0
+    p = {(1, 0): 0.25, (0, 0): 0.5}
+    assert helpers.coeff_dict_dist(p, helpers.coeff_product(p, {(0, 0): 1.0})) == 0
 
 
-def test_pow_m2_pointwise_cross_check(rng):
-    A, _, G, ds = _profile_parts("A1")
-    m0 = trigpoly.build_mask(A, G, ds)
+def test_pow_m2_pointwise_cross_check():
+    # The order-2 mask of the quincunx, sampled as m0^2, against m0 squared.
+    p = spectral.make_profile(MATRICES["A1"], 2)
     pt = np.array([math.pi / 3, math.pi / 5])
-    assert (m0 ** 2).eval(pt).real == pytest.approx(m0.eval(pt).real ** 2, abs=1e-14)
+    assert p.mask.eval(pt) == pytest.approx(p.m0.eval(pt) ** 2, abs=1e-14)
 
 
 # The exact shifts of the reference mask build, helpers.dict_product_mask.
 
 def test_shift_by_integer_is_identity():
-    p = TrigPoly(2, {(2, -1): 1.25, (0, 1): -0.5})
+    p = {(2, -1): 1.25, (0, 1): -0.5}
     s = helpers.shift_argument(p, (Fraction(3), Fraction(-2)))
-    assert helpers.coeff_dict_dist(p.coeffs, s.coeffs) < 1e-15
+    assert helpers.coeff_dict_dist(p, s) < 1e-15
 
 
 def test_shift_univariate_G_by_half():
     G = trigpoly.build_G(matana.QuadraticForm(np.eye(1), 1))
-    s = helpers.shift_argument(G, (Fraction(1, 2),))
+    s = helpers.shift_argument(G.coeffs, (Fraction(1, 2),))
     # 2(1 + cos xi)
-    assert helpers.coeff_dict_dist(s.coeffs, {(0,): 2.0, (1,): 1.0, (-1,): 1.0}) < 1e-15
+    assert helpers.coeff_dict_dist(s, {(0,): 2.0, (1,): 1.0, (-1,): 1.0}) < 1e-15
 
 
 @pytest.mark.parametrize("s", [(Fraction(1, 2),), (Fraction(1, 2), 0, 0)], ids=["short", "long"])
 @pytest.mark.parametrize("method", ["eval_at_two_pi", "shift_argument"])
 def test_rational_argument_of_wrong_dimension_raises(method, s):
-    p = TrigPoly(2, {(1, 1): 0.5, (2, 0): -1.0})
+    p = {(1, 1): 0.5, (2, 0): -1.0}
     with pytest.raises(ValueError, match="wrong dimension"):
         getattr(helpers, method)(p, s)
 
 
 def test_double_half_shift_recovers():
-    p = TrigPoly(2, {(1, 1): 0.5 + 0.25j, (2, 0): -1.0})
+    p = {(1, 1): 0.5 + 0.25j, (2, 0): -1.0}
     t = (Fraction(1, 2), Fraction(1, 2))
     back = helpers.shift_argument(helpers.shift_argument(p, t), t)
-    assert helpers.coeff_dict_dist(p.coeffs, back.coeffs) < 1e-15
+    assert helpers.coeff_dict_dist(p, back) < 1e-15
 
 
 def test_build_G_identity_form():
@@ -199,7 +186,7 @@ def test_G_taylor_starts_with_P(name, rng):
     v = rng.normal(size=(20, qf.d))
     v /= np.linalg.norm(v, axis=1)[:, None]
     for eps in (1e-1, 1e-2):
-        dev = np.abs(G.eval(eps * v).real - matana.eval_P(qf, eps * v))
+        dev = np.abs(G.eval(eps * v) - matana.eval_P(qf, eps * v))
         # remainder is quartic: shrinking eps by 10 shrinks dev by 10^4
         assert np.max(dev) < 2.0 * eps ** 4
 
@@ -238,7 +225,7 @@ def test_quincunx_interpolating_identity(rng):
     A, _, G, ds = _profile_parts("A1")
     m0 = trigpoly.build_mask(A, G, ds)
     xi = rng.uniform(-4 * math.pi, 4 * math.pi, size=(50, 2))
-    total = m0.eval_real(xi) + m0.eval_real(xi + math.pi)
+    total = m0.eval(xi) + m0.eval(xi + math.pi)
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
@@ -269,12 +256,25 @@ def test_sampled_mask_matches_the_dict_product(name, n):
     ds = digits.digit_set(A.entries.T)
     got = trigpoly.build_mask(A, G, ds, n)
     want = helpers.dict_product_mask(A, G, ds, n)
-    assert set(got.coeffs) == set(want.coeffs)
+    assert set(got.coeffs) == set(want)
     # Both builds are within an ulp or two of the largest coefficient (2.34
     # for C3's m0^4; 1 or less elsewhere).
-    scale = max(1.0, np.max(np.abs(want.C)))
-    assert helpers.coeff_dict_dist(got.coeffs, want.coeffs) <= 1e-15 * scale
+    scale = max(1.0, max(map(abs, want.values())))
+    assert helpers.coeff_dict_dist(got.coeffs, want) <= 1e-15 * scale
     assert [tuple(k) for k in got.K.tolist()] == list(got.coeffs)  # lexicographic
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "uni", "C3", "4I"])
+def test_eval_and_quartic_form_add_left_to_right(name):
+    # The printed phi_hat, M and B rest on these bits: each row's sum runs over
+    # the folded terms in ascending order, one term at a time.
+    matrix = [[4, 0], [0, 4]] if name == "4I" else REFERENCE_MATRICES[name]
+    p = spectral.make_profile(matrix, 1 if name == "4I" else 2)
+    x = np.random.default_rng(13).uniform(-4 * math.pi, 4 * math.pi, (500, p.d))
+    for poly in (p.G, p.m0, p.mask):
+        assert np.array_equal(poly.eval(x), helpers.folded_sum_left_to_right(poly, x))
+        assert np.array_equal(poly.quartic_form(x),
+                              helpers.folded_sum_left_to_right(poly, x, quartic=True))
 
 
 def _conjugate(A, U):
@@ -299,12 +299,12 @@ def test_sampled_mask_identities(matrix):
     G = trigpoly.build_G(matana.solve_quadratic_form(A))
     ds = digits.digit_set(A.entries.T)
     m0 = trigpoly.build_mask(A, G, ds)
-    assert abs(m0.eval_real(np.zeros(2)) - 1.0) <= 1e-13
+    assert abs(m0.eval(np.zeros(2)) - 1.0) <= 1e-13
     S = 2 * math.pi * np.array(ds.nonzero_S(), dtype=float)
-    assert np.max(np.abs(m0.eval_real(S))) <= 1e-13
+    assert np.max(np.abs(m0.eval(S))) <= 1e-13
     xi = np.random.default_rng(sum(map(sum, matrix))).uniform(-4 * math.pi, 4 * math.pi, (40, 2))
-    pointwise = np.prod([G.eval_real(xi + s) / G.eval_real(s) for s in S], axis=0)
-    assert np.max(np.abs(m0.eval_real(xi) - pointwise)) <= 1e-12
+    pointwise = np.prod([G.eval(xi + s) / G.eval(s) for s in S], axis=0)
+    assert np.max(np.abs(m0.eval(xi) - pointwise)) <= 1e-12
     assert abs(trigpoly.refinement_coefficients(m0, A.q).total() - A.q) <= 1e-12 * A.q
 
 
@@ -350,24 +350,16 @@ def test_refinement_coefficients_rejects_complex_mask():
 
 
 def test_is_real_flag():
+    # Real coefficients give a real-valued polynomial exactly when c_{-k} = c_k.
     assert TrigPoly(1, {(1,): 0.5, (-1,): 0.5}).is_real
-    assert TrigPoly(1, {(1,): 0.5j, (-1,): -0.5j}).is_real
+    assert TrigPoly(1, {(1,): 0.5, (-1,): 0.5 + 1e-13}).is_real
     assert not TrigPoly(1, {(1,): 0.5}).is_real
+    assert not TrigPoly(1, {(1,): 0.5, (-1,): -0.5}).is_real
 
 
 def test_realify_rejects_residue():
-    p = TrigPoly(1, {(0,): 1.0 + 1e-6j})
     with pytest.raises(Exception):
-        helpers.realify(p)
-
-
-def test_transform_frequencies():
-    p = TrigPoly(2, {(1, 0): 1.0})
-    M = np.array([[1, 1], [1, -1]])
-    q = p.transform_frequencies(M)
-    assert set(q.coeffs) == {(1, 1)}
-    xi = np.array([0.3, 0.7])
-    assert q.eval(xi) == pytest.approx(p.eval(M.T @ xi))
+        helpers.realify({(0,): 1.0 + 1e-6j})
 
 
 def test_render_cosine():
