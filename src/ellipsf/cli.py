@@ -53,7 +53,8 @@ class JobConfig:
         for failed, message in (
                 (self.m < 1, "m must be >= 1"),
                 (self.J < 0, "J must be >= 0"),
-                (not (math.isfinite(self.tol) and self.tol > 0), "tol must be finite and > 0"),
+                # An int tol must fit a double too; NaN fails both comparisons.
+                (not 0 < self.tol <= sys.float_info.max, "tol must be finite and > 0"),
                 (self.grid_n < 32, "grid_n must be >= 32"),
                 (self.seed < 0, "seed must be >= 0"),
                 (self.out is not None and not isinstance(self.out, str), "out must be a string")):

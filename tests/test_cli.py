@@ -117,7 +117,7 @@ def test_config_invalid_values_rejected(tmp_path, capsys):
              ("eval", {"J": 2.5}), ("spectrum", {"grid_n": 64.5}), ("analyze", {"out": 5}),
              ("verify", {"seed": 1.5, "J": 3}), ("verify", {"seed": -1, "J": 3}),
              ("mask", {"m": True}), ("spectrum", {"tol": math.nan}),
-             ("spectrum", {"tol": math.inf})]
+             ("spectrum", {"tol": math.inf}), ("spectrum", {"tol": 10 ** 400})]
     cfg = tmp_path / "job.json"
     for command, data in cases:
         cfg.write_text(json.dumps({"matrix": [[2]], **data}))
