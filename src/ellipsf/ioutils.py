@@ -7,9 +7,11 @@ CPython's "%.17g".  The CSV writers render whole columns with
 format_float_array, a numpy kernel with the same bytes: correctly rounded
 digits from a double-double product with an exact power-of-ten table (Dekker,
 Numer. Math. 18, 1971), spelled through fixed byte patterns, and CPython for
-the few values it cannot certify.  A lattice coordinate is formatted once per
-integer numerator of the level (x = n / D exactly), a field coordinate once
-per distinct value.
+the few values it cannot certify.  Zeros, such as the lattice rows of phi's
+bounding box outside its support, are spelled directly and skip the
+arithmetic.  A lattice coordinate is formatted once per integer numerator of
+the level (x = n / D exactly), a field coordinate once per distinct value,
+into a table whose entries carry their ',' and are as wide as the longest.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import tempfile
 
 import numpy as np
 
@@ -64,10 +65,15 @@ def emit_json(obj) -> str:
 
 
 def atomic_write(path: str, text: str):
-    """Write via a temporary file in the same directory, then rename."""
+    """Write via a temporary file in the same directory, then rename.
+
+    The temporary file is created with mode 0666 less the umask, as
+    open(path, "w") creates a file; the rename keeps that mode (a
+    tempfile.mkstemp file would stay 0600)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -78,13 +84,16 @@ def atomic_write(path: str, text: str):
         raise
 
 
-# Rows per CSV block: the block's byte template is (d + 1) * 25 bytes a row,
-# so beside the text itself memory stays flat however many rows there are.
-# With the kernel's temporaries, grid_csv's tracemalloc peak is 2.0 times its
-# text at 4,096 rows (A3, m=2, J=9), 2.5 at 8,192 and 3.4 at 16,384.
+# Rows per CSV block: the block's byte record is each coordinate table's
+# width (its longest text and the ',') plus 25 bytes a row, so beside the
+# text itself memory stays flat however many rows there are.  With the
+# kernel's temporaries, grid_csv's tracemalloc peak is 2.04 times its text
+# at 4,096 and at 8,192 rows (A3, m=2, J=9), 3.0 at 16,384.
 _CSV_BLOCK = 1 << 12
 
-# "%.17g" never takes more than 24 bytes: -d.dddddddddddddddde-ddd.
+# "%.17g" never takes more than 24 bytes: -d.dddddddddddddddde-ddd.  The
+# kernel's text and the value field are this wide; a coordinate table is
+# only as wide as its longest text and the ','.
 _WIDTH = 24
 # Powers 10^p in the table: p = 16 - X for every decimal exponent X of a
 # finite nonzero double (-324 .. 308), with two to spare on each side: one
@@ -189,28 +198,22 @@ def _floor_and_fraction(y_hi, y_lo):
     return y_hi.astype(np.int64) + f.astype(np.int64), y_lo - f
 
 
-def format_float_array(values: np.ndarray):
-    """(text, fallback): format_float of every float64 in `values` as an S24
-    array, and the int64 indices of the rows formatted by CPython.
+def _spelled(x):
+    """(text, ok) for finite nonzero float64 x: the (n, 24) uint8 bytes of
+    "%.17g", NUL-padded, and whether the arithmetic certifies them.
 
     The 17 significant digits D and decimal exponent X come from the exact
     scaling y = |x| 10^(16 - X) in double-double arithmetic (_scaled); X is
     floor(log10 |x|), moved by one where the test 10^16 <= floor(y) < 10^17
-    fails.  A row is left to CPython's "%.17g" when it is not finite, when
-    floor(y) is still out of range after the move (|x| within the error of a
-    power of ten), or when the fraction of y is within _TIE_BAND of a
-    rounding tie; so every row has the bytes of format_float.  The others
-    are spelled from fixed byte patterns: "%g" takes fixed point for -4 <= X
-    < 17, drops trailing zeros and writes at least two exponent digits.
+    fails.  A row is not certified when floor(y) is still out of range after
+    the move (|x| within the error of a power of ten), or when the fraction
+    of y is within _TIE_BAND of a rounding tie.  The others are spelled from
+    fixed byte patterns: "%g" takes fixed point for -4 <= X < 17, drops
+    trailing zeros and writes at least two exponent digits.
     """
     pow10, digits4, sig, patterns = _tables()
-    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     n = len(x)
     a = np.abs(x)
-    finite = np.isfinite(a)
-    work = finite & (a != 0)
-    # Rows the arithmetic does not certify compute on 1.0, which warns nowhere.
-    a = np.where(work, a, 1.0)
     m, e = np.frexp(a)
     m, e = 2.0 * m, e - 1
     X = np.floor(np.log10(a)).astype(np.int64)
@@ -220,13 +223,11 @@ def format_float_array(values: np.ndarray):
     if len(moved):
         X[moved] += move[moved]
         D[moved], frac[moved] = _floor_and_fraction(*_scaled(m[moved], e[moved], X[moved], pow10))
-    ok = work & (D >= 10 ** 16) & (D < 10 ** 17) & (np.abs(frac - 0.5) > _TIE_BAND)
+    ok = (D >= 10 ** 16) & (D < 10 ** 17) & (np.abs(frac - 0.5) > _TIE_BAND)
     D += frac > 0.5
     carry = D == 10 ** 17
     D[carry] = 10 ** 16
     X += carry
-    zero = finite & ~work
-    D[zero], X[zero] = 0, 0
 
     # D = g0 10^16 + g1 10^12 + g2 10^8 + g3 10^4 + g4.
     groups = np.empty((n, 4), dtype=np.int64)
@@ -252,9 +253,35 @@ def format_float_array(values: np.ndarray):
     kind = np.where(fixed, X + 4, _FIXED_KINDS + (np.abs(X) >= 100))
     key = (np.signbit(x) * _KINDS + kind) * 17 + ns - 1
     cols = np.add(patterns.take(key, axis=0), np.arange(0, _CHARS * n, _CHARS)[:, None])
-    text = chars.ravel()[cols]
+    return chars.ravel()[cols], ok
 
-    fallback = np.flatnonzero(~ok & ~zero)
+
+def format_float_array(values: np.ndarray):
+    """(text, fallback): format_float of every float64 in `values` as an S24
+    array, and the int64 indices into `values` of the rows formatted by
+    CPython.
+
+    +0.0 and -0.0 are spelled "0" and "-0" directly, and only the finite
+    nonzero rows go through the arithmetic (_spelled).  A row is left to
+    CPython's "%.17g" when it is not finite or _spelled does not certify it,
+    so every row has the bytes of format_float.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    a = np.abs(x)
+    left = ~np.isfinite(a)
+    rows = np.flatnonzero(~left & (a != 0))
+    if len(rows) == len(x):
+        # Every row is finite and nonzero: no gather and scatter of the
+        # rows, about 10 % of a 4,096-row block's time.
+        text, ok = _spelled(x)
+    else:
+        text = np.zeros((len(x), _WIDTH), dtype=np.uint8)
+        zero = np.flatnonzero(a == 0)
+        text[zero, 0] = ord("0")
+        text[zero[np.signbit(x[zero])], :2] = (ord("-"), ord("0"))
+        text[rows], ok = _spelled(x[rows])
+    left[rows[~ok]] = True
+    fallback = np.flatnonzero(left)
     if len(fallback):
         text[fallback] = np.array([format_float(v) for v in x[fallback].tolist()],
                                   dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
@@ -262,19 +289,24 @@ def format_float_array(values: np.ndarray):
 
 
 def _formatted_table(values: np.ndarray) -> np.ndarray:
-    """format_float of every value as an S24 array, a kernel block at a time."""
-    table = np.empty(len(values), f"S{_WIDTH}")
+    """format_float of every value with a ',' appended, as an S(w) array, w
+    one more than the longest text: a kernel block at a time."""
+    table = np.zeros((len(values), _WIDTH + 1), dtype=np.uint8)
     for start in range(0, len(values), _CSV_BLOCK):
-        table[start:start + _CSV_BLOCK] = format_float_array(values[start:start + _CSV_BLOCK])[0]
-    return table
+        text = format_float_array(values[start:start + _CSV_BLOCK])[0]
+        table[start:start + len(text), :_WIDTH] = text.view(np.uint8).reshape(-1, _WIDTH)
+    length = np.count_nonzero(table, axis=1)
+    table[np.arange(len(values)), length] = ord(",")
+    width = int(length.max(initial=0)) + 1
+    return np.ascontiguousarray(table[:, :width]).view(f"S{width}").ravel()
 
 
 def _formatted_column(column: np.ndarray):
-    """(table, index): the distinct values of `column` as format_float text in
-    an S24 array (format_float_array), and each row's int32 position in it.
-    Distinct means distinct bits, so 0.0 and -0.0 keep their own text.  One
-    argsort, not np.unique(return_inverse=True), whose int64 temporaries
-    raised the lattice benchmark's peak RSS by about 20 MB."""
+    """(table, index): the distinct values of `column` as a _formatted_table,
+    and each row's int32 position in it.  Distinct means distinct bits, so
+    0.0 and -0.0 keep their own text.  One argsort, not
+    np.unique(return_inverse=True), whose int64 temporaries raised the
+    lattice benchmark's peak RSS by about 20 MB."""
     bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
     order = np.argsort(bits)
     bits = bits[order]
@@ -286,21 +318,24 @@ def _formatted_column(column: np.ndarray):
     return _formatted_table(bits[first].view(np.float64)), index
 
 
-def _csv_text(header: str, d: int, blocks) -> str:
+def _csv_text(header: str, blocks) -> str:
     """The CSV: header, then one "p_1,...,p_d,value" row per value.  Each of
-    `blocks` is (coordinate texts, values): d S24 arrays and the float64
-    values of its rows.  A block is laid out as fixed 25-byte fields (the
-    NUL-padded text and its ',' or newline), values from format_float_array,
-    and compacted once by dropping the NULs."""
+    `blocks` is (coordinate texts, values): d arrays of _formatted_table
+    entries and the float64 values of its rows.  A block is laid out as one
+    record per row, each coordinate's field as wide as its table's entries
+    and the value a 24-byte field from format_float_array and a newline, and
+    compacted once by dropping the NULs."""
     parts = [header, "\n"]
     for coords, values in blocks:
-        buf = np.empty((len(values), d + 1, _WIDTH + 1), dtype=np.uint8)
-        for j, text in enumerate(coords):
-            buf[:, j, :_WIDTH] = text.view(np.uint8).reshape(-1, _WIDTH)
-        buf[:, d, :_WIDTH] = format_float_array(values)[0].view(np.uint8).reshape(-1, _WIDTH)
-        buf[:, :, _WIDTH] = ord(",")
-        buf[:, d, _WIDTH] = ord("\n")
-        parts.append(str(buf[buf != 0], "ascii"))
+        widths = [text.dtype.itemsize for text in coords]
+        buf = np.empty((len(values), sum(widths) + _WIDTH + 1), dtype=np.uint8)
+        at = 0
+        for text, width in zip(coords, widths):
+            buf[:, at:at + width] = text.view(np.uint8).reshape(-1, width)
+            at += width
+        buf[:, at:-1] = format_float_array(values)[0].view(np.uint8).reshape(-1, _WIDTH)
+        buf[:, -1] = ord("\n")
+        parts.append(str(buf.tobytes().translate(None, b"\0"), "ascii"))
     return "".join(parts)
 
 
@@ -324,7 +359,7 @@ def grid_csv(grid) -> str:
             j, at = grid.rows(start, min(start + _CSV_BLOCK, n))
             numerators = j @ M.T - low
             yield [t.take(c) for t, c in zip(tables, numerators.T)], flat[at]
-    return _csv_text(header, grid.A.d, blocks())
+    return _csv_text(header, blocks())
 
 
 def field_csv(points: np.ndarray, values: np.ndarray, header: str) -> str:
@@ -334,4 +369,4 @@ def field_csv(points: np.ndarray, values: np.ndarray, header: str) -> str:
         for s in range(0, len(values), _CSV_BLOCK):
             yield ([table.take(index[s:s + _CSV_BLOCK]) for table, index in columns],
                    values[s:s + _CSV_BLOCK])
-    return _csv_text(header, points.shape[1], blocks())
+    return _csv_text(header, blocks())

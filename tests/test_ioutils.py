@@ -1,6 +1,8 @@
 """Byte identity of the float kernel and the blocked CSV writers against
 number-by-number formatting."""
 
+import dataclasses
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -71,6 +73,13 @@ def test_kernel_leaves_ties_and_non_finite_rows_to_cpython():
     values = TIES + [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 0.1, 2.0 ** -60]
     _, fallback = kernel_text(values)
     assert fallback == list(range(8))
+    # Zeros skip the arithmetic; between them the indices still point into
+    # the input, and every row keeps the bytes of format_float.
+    mixed = [0.0, TIES[0], -0.0, np.nan, 0.1, -0.0, np.inf, TIES[1], 0.0, -np.inf,
+             2.0 ** -60, TIES[3], -0.0]
+    text, fallback = kernel_text(mixed)
+    assert fallback == [1, 3, 6, 7, 9, 11]
+    assert text == [ioutils.format_float(v) for v in mixed]
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,15 +196,29 @@ def test_signed_zeros_and_nans_keep_their_own_text():
     assert text.splitlines()[1:] == [f"{x},{x}" for x in expected]
 
 
+# The grid's own values, then replacements of its data: all +0.0, the edge
+# values cycled through it (with -0.0, subnormals and the largest double),
+# and no zero at all.
+FILLS = [
+    lambda data: data,
+    np.zeros_like,
+    lambda data: np.resize([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0 / 3.0,
+                            1.7976931348623157e308, -0.0, *SUBNORMAL, 0.0, 0.0], data.shape),
+    lambda data: 1.0 + np.abs(data),
+]
+
+
 @pytest.mark.parametrize("matrix, m, J", [([[2]], 2, 4), ([[1, -1], [1, 1]], 1, 4), (C3, 1, 1)])
 def test_grid_csv_across_block_boundaries(monkeypatch, matrix, m, J):
     p = spectral.make_profile(matrix, m=m)
-    grid = cascade.sample_phi(p.A, *p.refinement, J)
-    expected = reference_grid_csv(grid)
-    n = len(grid.values)
-    for block in (1, n - 1, n, n + 1):
-        monkeypatch.setattr(ioutils, "_CSV_BLOCK", block)
-        assert first_difference(ioutils.grid_csv(grid), expected) is None
+    phi = cascade.sample_phi(p.A, *p.refinement, J)
+    for fill in FILLS:
+        grid = dataclasses.replace(phi, data=fill(phi.data))
+        expected = reference_grid_csv(grid)
+        n = len(grid.values)
+        for block in (1, n - 1, n, n + 1):
+            monkeypatch.setattr(ioutils, "_CSV_BLOCK", block)
+            assert first_difference(ioutils.grid_csv(grid), expected) is None
 
 
 def test_grid_csv_peak_stays_near_its_text():
@@ -215,10 +238,26 @@ def test_grid_csv_peak_stays_near_its_text():
     assert peak <= 2.25 * len(text)
 
 
-@pytest.mark.parametrize("matrix, m, J", [(C3, 1, 3), ([[2, 0], [0, 2]], 2, 3)])
+# A3 at J=9 prints 100k rows of dyadic coordinates; the 2+i dilation's
+# coordinates (0.0080000000000000002) give tables nearly 24 bytes wide.
+@pytest.mark.parametrize("matrix, m, J", [(C3, 1, 3), ([[2, 0], [0, 2]], 2, 3),
+                                          ([[1, -2], [1, 0]], 2, 9), ([[2, -1], [1, 2]], 1, 3)])
 def test_eval_stdout_matches_reference(capsys, matrix, m, J):
     text = ";".join(",".join(map(str, row)) for row in matrix)
     assert cli.main(["eval", "--matrix", text, "--m", str(m), "--J", str(J)]) == 0
     p = spectral.make_profile(matrix, m=m)
     expected = reference_grid_csv(cascade.sample_phi(p.A, *p.refinement, J))
     assert first_difference(capsys.readouterr().out, expected) is None
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_gives_the_mode_of_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        ioutils.atomic_write(str(tmp_path / "atomic.csv"), "x\n")
+        with open(tmp_path / "plain.csv", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "atomic.csv").st_mode == os.stat(tmp_path / "plain.csv").st_mode
+    assert sorted(os.listdir(tmp_path)) == ["atomic.csv", "plain.csv"]
