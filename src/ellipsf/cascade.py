@@ -63,6 +63,11 @@ SHIFT_BLOCK = 1 << 16
 # (tap, box point) pairs per block of transition_matrix.  A block holds their
 # d int64 positions and three masks, 8 d + 3 bytes a pair: 19 MB at d = 2.
 _PAIR_BLOCK = 1 << 20
+# Bytes an in-box pair keeps until the pruning: its int64 row and column and
+# its float64 value.  MAX_TRANSITION_BYTES bounds them too: C3's phi^4 keeps
+# 2.19 M pairs (52 MB), the 3-D 2I's phi^2 12.5 M (299 MB), and the 4-D
+# quincunx pair's phi^2 would keep 123.7 M (3.0 GB).
+_PAIR_BYTES = 24
 
 @dataclass(frozen=True)
 class SupportBox:
@@ -332,7 +337,9 @@ def transition_matrix(A: DilationMatrix, rc: RefinementCoefficients, box: Suppor
     as an (n, d) int64 array in lexicographic order.  T is the leading block
     of a zero (n + 1) x (n + 1) array, T.base, which integer_values borders in
     place, so no second copy of T is made.  Raises ConfigError before that
-    array is allocated when it would pass MAX_TRANSITION_BYTES.
+    array is allocated when it would pass MAX_TRANSITION_BYTES, and, as soon
+    as a block of taps brings them past it, when the kept (row, col, value)
+    entries alone would, at _PAIR_BYTES an entry.
     """
     shape = tuple(int(w) + 1 for w in box.widths)
     box_pts = np.indices(shape).reshape(A.d, -1).T + box.lo
@@ -341,6 +348,7 @@ def transition_matrix(A: DilationMatrix, rc: RefinementCoefficients, box: Suppor
     K = np.array([k for k, ck in rc.c.items() if ck != 0], dtype=np.int64).reshape(-1, A.d)
     C = np.array([ck for ck in rc.c.values() if ck != 0], dtype=float)
     rows, cols, vals = [], [], []
+    pairs = 0
     step = max(1, _PAIR_BLOCK // max(1, n))
     for start in range(0, len(K), step):
         pos = Aj_lo - K[start:start + step, None, :]
@@ -348,6 +356,12 @@ def transition_matrix(A: DilationMatrix, rc: RefinementCoefficients, box: Suppor
         for c in range(1, A.d):
             ok &= (pos[..., c] >= 0) & (pos[..., c] < shape[c])
         tap, row = np.nonzero(ok)
+        pairs += len(row)
+        if _PAIR_BYTES * pairs > MAX_TRANSITION_BYTES:
+            raise ConfigError(f"the transition matrix has at least {pairs} in-box (tap, point) "
+                              f"pairs after {start + len(pos)} of {len(K)} taps; keeping them "
+                              f"needs {_PAIR_BYTES * pairs} bytes, and at most "
+                              f"{MAX_TRANSITION_BYTES} are allowed")
         rows.append(row)
         cols.append(np.ravel_multi_index(tuple(pos[tap, row].T), shape))
         vals.append(C[start + tap])

@@ -438,3 +438,23 @@ def convolution_matches_fft(profile, J):
     got = properties.check_convolution(profile, J, grid0=g0, detail=detail)
     want, raw = convolution_by_fft(profile, J)
     return abs(got - want) <= tol and abs(detail["raw"] - raw) <= tol
+
+
+# estimate_B's grid pass as it was before it skipped mirrored rows: mu on
+# every row of the grid_n^d grid, whole last-axis lines in C order, and the
+# first maximum by np.argmax over all of them.
+
+def full_grid_mu(profile, grid_n):
+    """spectral._mu_grid's values on every grid row, in C order."""
+    mu_rows = spectral._mu_grid(profile, grid_n)
+    n_lines = grid_n ** (profile.d - 1)
+    per = max(1, 4096 // grid_n)
+    return np.concatenate([mu_rows(np.arange(o, min(o + per, n_lines)), slice(0, grid_n))
+                           for o in range(0, n_lines, per)])
+
+
+def full_grid_estimate_B(profile, grid_n):
+    """estimate_B from the first maximum over the whole grid, with its zoom."""
+    vals = full_grid_mu(profile, grid_n)
+    first = int(np.argmax(vals))
+    return spectral._zoom(profile, grid_n, float(vals[first]), first)

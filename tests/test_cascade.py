@@ -202,6 +202,36 @@ def test_bordered_matrix_past_its_budget_is_a_config_error(profiles, monkeypatch
     assert cascade.transition_matrix(p.A, rc, box)[0].shape == (n, n)
 
 
+def test_kept_pairs_past_their_budget_are_a_config_error(profiles, monkeypatch):
+    # A4 at m=2 with one tap a block: the (row, col, value) entries kept so
+    # far, 24 bytes each, are checked after every block, so the build stops at
+    # the first tap that takes them past the budget and names the pair count.
+    # At the exact size of all of them it is built.
+    p = profiles("A4")
+    rc = _rc(p, 2)
+    box = cascade.support_box(p.A, rc)
+    shape = tuple(int(w) + 1 for w in box.widths)
+    pts = np.indices(shape).reshape(p.d, -1).T + box.lo
+    taps = [np.array(k) for k, c in rc.c.items() if c != 0]
+    per_tap = [int(np.sum(np.all((pts @ p.A.entries.T - box.lo - k >= 0)
+                                 & (pts @ p.A.entries.T - box.lo - k < shape), axis=1)))
+               for k in taps]
+    total = np.cumsum(per_tap)
+    monkeypatch.setattr(cascade, "_PAIR_BLOCK", len(pts))
+    for t in (0, len(taps) // 2, len(taps) - 1):
+        assert per_tap[t] > 0
+        monkeypatch.setattr(cascade, "MAX_TRANSITION_BYTES", 24 * int(total[t]) - 1)
+        with pytest.raises(ConfigError) as err:
+            cascade.transition_matrix(p.A, rc, box)
+        assert (f"at least {total[t]} in-box (tap, point) pairs after {t + 1} of {len(taps)} taps"
+                in str(err.value))
+        assert f"needs {24 * total[t]} bytes" in str(err.value)
+    monkeypatch.setattr(cascade, "MAX_TRANSITION_BYTES", 24 * int(total[-1]))
+    T, kept = cascade.transition_matrix(p.A, rc, box)
+    T_ref, kept_ref = helpers.transition_matrix_by_taps(p.A, rc, box)
+    assert np.array_equal(kept, kept_ref) and np.array_equal(T, T_ref)
+
+
 def test_integer_values_match_eig_on_c3_order_two():
     p = spectral.make_profile(M3)
     rc = _rc(p, 2)

@@ -613,10 +613,7 @@ GRID_CASES = ([(name, n) for name in ("A1", "A2", "A3", "A4", "uni") for n in (3
 @pytest.mark.parametrize("name,grid_n", GRID_CASES)
 def test_grid_pass_matches_mu(name, grid_n, any_profile):
     p = _grid_profile(name, any_profile)
-    blocks = list(spectral._mu_grid(p, grid_n))
-    starts, vals = [s for s, _ in blocks], [v for _, v in blocks]
-    assert starts == list(np.cumsum([0] + [len(v) for v in vals[:-1]]))
-    vals = np.concatenate(vals)
+    vals = helpers.full_grid_mu(p, grid_n)
     assert len(vals) == grid_n ** p.d
     assert np.max(_ulps(vals, _exact_grid_mu(p, grid_n))) <= GRID_ULPS
 
@@ -627,7 +624,7 @@ def test_grid_pass_matches_mu(name, grid_n, any_profile):
 def test_grid_maximum_and_refinement_start_match_mu(name, grid_n, any_profile, monkeypatch):
     p = _grid_profile(name, any_profile)
     grid = _torus_grid(p.d, grid_n)
-    vals = np.concatenate([v for _, v in spectral._mu_grid(p, grid_n)])
+    vals = helpers.full_grid_mu(p, grid_n)
     first = int(np.argmax(vals))
     top = float(np.max(_exact_grid_mu(p, grid_n)))
     assert abs(vals[first] - top) <= GRID_ULPS * np.spacing(top)
@@ -673,7 +670,8 @@ def test_blocked_estimate_B_matches_one_grid(name, block, grid_n, any_profile, m
     assert block < grid_n ** (p.d - 1) or p.d < 3
     monkeypatch.setattr(spectral, "GRID_BLOCK", block)
     blocked = estimate_B(p, grid_n=grid_n)
-    assert max(len(v) for _, v in spectral._mu_grid(p, grid_n)) <= block
+    assert max(len(lines) * (j.stop - j.start)
+               for lines, j in spectral._half_torus_blocks(grid_n, p.d)) <= block
     monkeypatch.setattr(spectral, "GRID_BLOCK", grid_n ** p.d)
     assert estimate_B(p, grid_n=grid_n) == blocked
 
@@ -682,14 +680,137 @@ def test_blocked_estimate_B_matches_one_grid(name, block, grid_n, any_profile, m
 def test_grid_blocks_shorter_than_a_line_give_the_same_values(name, block, grid_n, any_profile,
                                                              monkeypatch):
     # Pieces of one last-axis line in 2-D and 3-D: every row's value is the
-    # same to the bit, and the starts tile the grid in C order.
+    # same to the bit as on the whole line.
     p = _grid_profile(name, any_profile)
-    whole = np.concatenate([v for _, v in spectral._mu_grid(p, grid_n)])
+    whole = helpers.full_grid_mu(p, grid_n)
     monkeypatch.setattr(spectral, "GRID_BLOCK", block)
-    blocks = list(spectral._mu_grid(p, grid_n))
-    assert max(len(v) for _, v in blocks) <= block < grid_n
-    assert [s for s, _ in blocks] == list(np.cumsum([0] + [len(v) for _, v in blocks[:-1]]))
-    assert np.array_equal(np.concatenate([v for _, v in blocks]), whole)
+    mu_rows = spectral._mu_grid(p, grid_n)
+    blocks = list(spectral._half_torus_blocks(grid_n, p.d))
+    assert max(len(lines) * (j.stop - j.start) for lines, j in blocks) <= block < grid_n
+    for lines, j in blocks:
+        assert np.array_equal(mu_rows(lines, j), whole[_block_rows(lines, j, grid_n)])
+
+
+def _block_rows(lines, j, grid_n):
+    """The C-order indices of a (lines, j) block's rows, in the block's order."""
+    return (lines[:, None] * grid_n + np.arange(j.start, j.stop)).ravel()
+
+
+def _mirrors(d, grid_n):
+    """Each row's mirror (N - i) mod N in C order, and whether it has no index 0."""
+    idx = np.indices((grid_n,) * d).reshape(d, -1)
+    return (np.ravel_multi_index(tuple((grid_n - idx) % grid_n), (grid_n,) * d),
+            np.all(idx != 0, axis=0))
+
+
+@pytest.mark.parametrize("d,grid_n,block", [(d, n, spectral.GRID_BLOCK) for d in (1, 2, 3)
+                                            for n in (32, 33)]
+                         + [(1, 257, 50), (2, 64, 1000), (2, 65, 64), (3, 33, 500), (3, 32, 20),
+                            (4, 32, spectral.GRID_BLOCK)])
+def test_half_torus_blocks_hold_each_row_that_can_hold_the_first_maximum_once(d, grid_n, block,
+                                                                              monkeypatch):
+    monkeypatch.setattr(spectral, "GRID_BLOCK", block)
+    blocks = list(spectral._half_torus_blocks(grid_n, d))
+    rows = [_block_rows(lines, j, grid_n) for lines, j in blocks]
+    assert all(0 < len(r) <= block and np.all(np.diff(r) > 0) for r in rows)
+    rows = np.concatenate(rows)
+    assert len(np.unique(rows)) == len(rows)
+    # Kept: i_1 <= N // 2, or some other index 0.  Left out: every row whose
+    # mirror is a row with no index 0 that comes earlier in C order.
+    idx = np.indices((grid_n,) * d).reshape(d, -1)
+    kept = (idx[0] <= grid_n // 2) | np.any(idx[1:] == 0, axis=0)
+    assert np.array_equal(np.sort(rows), np.flatnonzero(kept))
+    mirror, interior = _mirrors(d, grid_n)
+    assert np.all(interior[~kept] & (mirror[~kept] < np.flatnonzero(~kept)) & kept[mirror[~kept]])
+    # The prefix comes first, whole and in C order.
+    prefix = (grid_n // 2 + 1) * grid_n ** (d - 1)
+    assert np.array_equal(rows[:prefix], np.arange(prefix))
+
+
+def test_half_torus_share():
+    # The prefix and the -pi edge past it: 50.6 % of a 256^2 grid and 51.5 %
+    # of a 128^3 one.
+    for d, grid_n, count in ((2, 256, 129 * 256 + 127), (3, 128, 65 * 128 ** 2 + 63 * 255)):
+        assert sum(len(lines) * (j.stop - j.start)
+                   for lines, j in spectral._half_torus_blocks(grid_n, d)) == count
+
+
+TWO_I_3D = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+EVEN_CASES = ([(name, n) for name in ("A1", "A2", "A3", "A4", "uni", *GRID_MATRICES)
+               for n in (33, 64)]
+              + [("C3", n) for n in (32, 33)] + [("2I3", n) for n in (32, 33)])
+
+
+@pytest.mark.parametrize("name,grid_n", EVEN_CASES)
+def test_grid_pass_is_even_to_the_bit_off_the_boundary(name, grid_n, any_profile):
+    # Every row with no coordinate at -pi has the bits of its mirror, which is
+    # what lets estimate_B leave out half of the grid.
+    p = spectral.make_profile(TWO_I_3D) if name == "2I3" else _grid_profile(name, any_profile)
+    vals = helpers.full_grid_mu(p, grid_n)
+    mirror, interior = _mirrors(p.d, grid_n)
+    assert np.array_equal(vals[interior], vals[mirror[interior]])
+
+
+B_REFERENCE_CASES = ([(name, n) for name in ("A1", "A2", "A3", "A4", "uni", *GRID_MATRICES)
+                      for n in (32, 33, 64, 257)] + [("C3", n) for n in (32, 33, 64)]
+                     + [(A, n) for A in _generated_isotropic(24, seed=28) for n in (32, 33, 64, 257)])
+
+
+@pytest.mark.parametrize("case,grid_n", B_REFERENCE_CASES,
+                         ids=lambda v: v if isinstance(v, (str, int)) else
+                         ";".join(",".join(map(str, row)) for row in v))
+def test_estimate_B_matches_the_full_grid(case, grid_n, any_profile):
+    p = _grid_profile(case, any_profile) if isinstance(case, str) else spectral.make_profile(case)
+    assert estimate_B(p, grid_n) == helpers.full_grid_estimate_B(p, grid_n)
+
+
+# [[2, 0], [1, -2]] at 33^2: the first maximum is row (17, 0), past the
+# prefix, on the -pi edge; row (16, 0) holds the same mu(eta) in exact
+# arithmetic (evenness and periodicity) but rounds lower.  A1 at 64^2: the
+# maximum 1 + 4.4e-16 is taken on 24 rows, the first of them (1, 32), whose
+# mirror (63, 32) is left out.
+@pytest.mark.parametrize("case,grid_n,on_edge", [([[2, 0], [1, -2]], 33, True), ("A1", 64, False)],
+                         ids=["edge", "tied"])
+def test_first_maximum_on_the_edge_or_tied_starts_the_zoom(case, grid_n, on_edge, any_profile,
+                                                          monkeypatch):
+    p = any_profile(case, 1) if isinstance(case, str) else spectral.make_profile(case)
+    vals = helpers.full_grid_mu(p, grid_n)
+    first = int(np.argmax(vals))
+    idx = np.unravel_index(first, (grid_n,) * p.d)
+    mirror, interior = _mirrors(p.d, grid_n)
+    if on_edge:
+        assert idx[0] > grid_n // 2 and idx[1] == 0
+    else:
+        assert interior[first] and vals[mirror[first]] == vals[first] and mirror[first] > first
+        assert np.sum(vals == vals[first]) == 24
+    B = estimate_B(p, grid_n)
+    assert B == helpers.full_grid_estimate_B(p, grid_n)
+    monkeypatch.setattr(spectral, "_zoom", lambda profile, n, best, at: (best, at))
+    assert estimate_B(p, grid_n) == (vals[first], first)
+
+
+@pytest.mark.parametrize("d,grid_n,seed", [(d, n, seed) for d in (1, 2, 3) for n in (32, 33)
+                                           for seed in range(3)])
+def test_first_maximum_rule_over_blocks_out_of_c_order(d, grid_n, seed, monkeypatch):
+    # A stand-in for mu with small integer values, even off the boundary, so
+    # maxima tie across many rows; past the prefix a few edge rows get the
+    # top value, so in 3-D the whole lines and the i_3 = 0 rows, taken in
+    # separate blocks, both hold it.  estimate_B must start from the first
+    # maximum of the whole grid.
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(0, 3, grid_n ** d).astype(float)
+    mirror, interior = _mirrors(d, grid_n)
+    vals[interior] = np.maximum(vals[interior], vals[mirror[interior]])
+    idx = np.indices((grid_n,) * d).reshape(d, -1)
+    edge = np.flatnonzero((idx[0] > grid_n // 2) & np.any(idx[1:] == 0, axis=0))
+    if seed and len(edge):
+        vals[rng.choice(edge, size=min(3 * seed, len(edge)), replace=False)] = 3.0
+    by_line = vals.reshape(-1, grid_n)
+    monkeypatch.setattr(spectral, "_mu_grid",
+                        lambda profile, n: lambda lines, j: by_line[lines, j].ravel())
+    monkeypatch.setattr(spectral, "_zoom", lambda profile, n, best, at: (best, at))
+    p = spectral.make_profile([[2]] if d == 1 else [[2, 0], [0, 2]] if d == 2 else TWO_I_3D)
+    assert estimate_B(p, grid_n) == (vals.max(), int(np.argmax(vals)))
 
 
 # On 48 of the 480 generated matrices the zoom raises B above the 64^2 grid
@@ -705,7 +826,7 @@ ZOOM_CASES = ([(name, 64) for name in ("A1", "A2", "A3", "A4", "uni")] + [("C3",
 def test_zoom_reaches_the_local_grid_maximum(case, grid_n, any_profile):
     p = any_profile(case, 1) if isinstance(case, str) else spectral.make_profile(case)
     rows = _torus_grid(p.d, grid_n)
-    vals = np.concatenate([v for _, v in spectral._mu_grid(p, grid_n)])
+    vals = helpers.full_grid_mu(p, grid_n)
     first = int(np.argmax(vals))
     B = estimate_B(p, grid_n)
     assert B >= vals[first]
